@@ -322,11 +322,17 @@ def _apply_setpoints(net: Network, model: SensitivityModel,
     return replace(net, buses=buses, generators=gens)
 
 
-def _run_loop(net: Network, cfg: ControlConfig, method: str) -> ControlTrace:
-    model = build_model(net)
-    part = model.partition
-    initial = solve_newton(net, tol=cfg.pf_tolerance)
+def _initial_state(net: Network, cfg: ControlConfig):
+    """The sensitivity model and the converged start state of ``net``."""
+    return build_model(net), solve_newton(net, tol=cfg.pf_tolerance)
 
+
+def _run_loop(net: Network, cfg: ControlConfig, method: str, step,
+              model: SensitivityModel,
+              initial: PowerFlowSolution) -> ControlTrace:
+    """Iterate ``step`` (:func:`ovc_step` or :func:`svc_step`) from the
+    solved start state; ``method`` labels the trace."""
+    part = model.partition
     vm = initial.vm.copy()
     current = net
     sol = initial
@@ -355,12 +361,7 @@ def _run_loop(net: Network, cfg: ControlConfig, method: str) -> ControlTrace:
         seen[(cb, sign)] = (count + 1, smallest)
 
         try:
-            if method == "ovc":
-                record = ovc_step(model, sol, cb, cfg, index=index,
-                                  critical=critical)
-            else:
-                record = svc_step(model, sol, cb, cfg, index=index,
-                                  critical=critical)
+            record = step(model, sol, cb, cfg, index=index, critical=critical)
         except UncontrollableBusError:
             outcome = Outcome.INFEASIBLE
             break
@@ -409,12 +410,14 @@ def ovc_run(net: Network, cfg: ControlConfig | None = None) -> ControlTrace:
     ``RESOLVED`` once no load bus is outside its limits, or with an honest
     non-success outcome (iteration cap, oscillation, uncontrollable bus).
     """
-    return _run_loop(net, cfg or ControlConfig(), "ovc")
+    cfg = cfg or ControlConfig()
+    return _run_loop(net, cfg, "ovc", ovc_step, *_initial_state(net, cfg))
 
 
 def svc_run(net: Network, cfg: ControlConfig | None = None) -> ControlTrace:
     """Run the single-generator baseline loop to completion."""
-    return _run_loop(net, cfg or ControlConfig(), "svc")
+    cfg = cfg or ControlConfig()
+    return _run_loop(net, cfg, "svc", svc_step, *_initial_state(net, cfg))
 
 
 def compare_ovc_svc(net: Network, cfg: ControlConfig | None = None) -> ComparisonReport:
@@ -428,15 +431,14 @@ def compare_ovc_svc(net: Network, cfg: ControlConfig | None = None) -> Compariso
     cfg = cfg or ControlConfig()
     one_shot = replace(cfg, max_iterations=1,
                        evaluation_mode=EvaluationMode.POWER_FLOW)
-    model = build_model(net)
-    initial = solve_newton(net, tol=cfg.pf_tolerance)
+    model, initial = _initial_state(net, cfg)
     critical = find_critical_buses(initial, cfg, model.partition)
     if not critical:
         raise ControllerError("no critical bus: nothing to compare")
     cb = select_controlled_bus(critical, cfg)
 
-    ovc_trace = _run_loop(net, one_shot, "ovc")
-    svc_trace = _run_loop(net, one_shot, "svc")
+    ovc_trace = _run_loop(net, one_shot, "ovc", ovc_step, model, initial)
+    svc_trace = _run_loop(net, one_shot, "svc", svc_step, model, initial)
     return ComparisonReport(
         controlled_bus=cb,
         j_ovc=ovc_trace.j_achieved_total,

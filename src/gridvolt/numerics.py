@@ -1,25 +1,22 @@
-"""Dense real linear algebra: LU solves, inversion, and a Jacobi SVD.
+"""Dense real linear algebra: LU solves, inversion, and the SVD.
 
 Everything here is written against plain ``numpy.ndarray`` (row-major dense
-storage) and implemented directly so results can be audited against
-independent oracles. Problem sizes in this package are tiny (n <= a few
-hundred), so the one-sided Jacobi SVD is chosen for robustness and exactly
-reproducible output rather than speed.
+storage). The LU is implemented directly: its pivot threshold decides when
+a matrix counts as singular, and callers reuse one factorization for many
+solves. The SVD is LAPACK's, given a fixed sign convention so results are
+reproducible.
 
 All tolerances are centralized below as named constants.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "LU_PIVOT_RTOL",
-    "SVD_PAIR_TOL",
-    "SVD_MAX_SWEEPS",
     "SVD_ORTHOGONALITY_TOL",
     "SVD_RECONSTRUCTION_RTOL",
     "SYMMETRY_ATOL",
@@ -37,10 +34,6 @@ __all__ = [
 
 # Pivot smaller than this times ||a||_inf is treated as singular.
 LU_PIVOT_RTOL = 1e-12
-# One-sided Jacobi: a column pair counts as orthogonal when
-# |a_p . a_q| <= SVD_PAIR_TOL * ||a_p|| * ||a_q||.
-SVD_PAIR_TOL = 1e-12
-SVD_MAX_SWEEPS = 100
 # Contract tolerances (asserted by the test suite, re-exported for callers).
 SVD_ORTHOGONALITY_TOL = 1e-10
 SVD_RECONSTRUCTION_RTOL = 1e-8
@@ -59,15 +52,7 @@ class SingularMatrixError(ValueError):
 
 
 class SvdConvergenceError(RuntimeError):
-    """Jacobi sweeps hit the iteration cap before orthogonalizing."""
-
-    def __init__(self, sweeps: int, off_norm: float):
-        super().__init__(
-            f"SVD did not converge in {sweeps} sweeps; "
-            f"worst relative off-diagonal {off_norm:.3e}"
-        )
-        self.sweeps = sweeps
-        self.off_norm = off_norm
+    """LAPACK's SVD iteration did not converge."""
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -166,113 +151,17 @@ class SvdResult:
     vt: np.ndarray
 
 
-def _jacobi_orthogonalize(wt: np.ndarray, vt: np.ndarray) -> None:
-    """One-sided Jacobi sweeps over the rows of ``wt`` (the working vectors,
-    stored contiguously) until every pair is orthogonal relative to
-    SVD_PAIR_TOL; the same rotations accumulate into the rows of ``vt``."""
-    n = wt.shape[0]
-    norms = np.einsum("ij,ij->i", wt, wt)  # squared row norms
-    # Rows whose squared norm collapses below eps^2 * ||A||_F^2 are
-    # numerically zero; rotating them only stirs rounding noise.
-    zero_floor = float(np.sum(norms)) * np.finfo(float).eps ** 2
-    for sweep in range(SVD_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            wp = wt[p]
-            for q in range(p + 1, n):
-                alpha = norms[p]
-                beta = norms[q]
-                if alpha <= zero_floor or beta <= zero_floor:
-                    continue
-                wq = wt[q]
-                gamma = float(wp @ wq)
-                if abs(gamma) <= SVD_PAIR_TOL * math.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                if zeta == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                new_p = c * wp - s * wq
-                wt[q] = s * wp + c * wq
-                wt[p] = new_p
-                wp = wt[p]
-                vp = c * vt[p] - s * vt[q]
-                vt[q] = s * vt[p] + c * vt[q]
-                vt[p] = vp
-                norms[p] = float(wp @ wp)
-                norms[q] = float(wt[q] @ wt[q])
-        if not rotated:
-            return
-    # Re-measure honestly before reporting failure.
-    gram = wt @ wt.T
-    d = np.sqrt(np.abs(np.diag(gram)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(gram) / np.outer(d, d)
-    np.fill_diagonal(rel, 0.0)
-    raise SvdConvergenceError(SVD_MAX_SWEEPS, float(np.nanmax(rel)))
-
-
-def _complete_basis(cols: list[np.ndarray], m: int) -> list[np.ndarray]:
-    """Extend an orthonormal set to a full basis of R^m with canonical
-    vectors (deterministic modified Gram-Schmidt, re-orthogonalized)."""
-    basis = list(cols)
-    for i in range(m):
-        if len(basis) == m:
-            break
-        cand = np.zeros(m)
-        cand[i] = 1.0
-        for _ in range(2):
-            for b in basis:
-                cand -= (b @ cand) * b
-        norm = float(np.linalg.norm(cand))
-        if norm > 1e-8:
-            basis.append(cand / norm)
-    return basis
-
-
 def svd(a) -> SvdResult:
-    """Singular value decomposition by one-sided Jacobi rotations.
-
-    Deterministic for identical inputs; suited to the small dense matrices
-    this package works with.
-    """
+    """Full singular value decomposition (LAPACK through numpy) with the
+    sign convention of :class:`SvdResult`."""
     a = _as_matrix(a)
-    m, n = a.shape
-    if m == 0 or n == 0:
+    if a.size == 0:
         raise ValueError("empty matrix has no SVD")
-    if m < n:
-        res = svd(a.T)
-        u = res.vt.T.copy()
-        vt = res.u.T.copy()
-        return _apply_sign_convention(u, res.sigma.copy(), vt)
-
-    wt = np.ascontiguousarray(a.T)  # rows are the vectors being rotated
-    vt = np.eye(n)
-    _jacobi_orthogonalize(wt, vt)
-
-    sig = np.sqrt(np.einsum("ij,ij->i", wt, wt))
-    order = np.argsort(-sig, kind="stable")
-    sig = sig[order]
-    wt = wt[order]
-    vt = vt[order]
-
-    # Normalize the range vectors; those with (near-)zero singular value
-    # get replaced by a completion of the orthonormal basis.
-    cutoff = sig[0] * np.finfo(float).eps * max(m, n) if sig.size else 0.0
-    u_cols: list[np.ndarray] = []
-    rank = 0
-    for k in range(n):
-        if sig[k] > cutoff:
-            u_cols.append(wt[k] / sig[k])
-            rank += 1
-        else:
-            break
-    u = np.column_stack(_complete_basis(u_cols, m)) if m else np.eye(0)
-    return _apply_sign_convention(u, sig, vt)
+    try:
+        u, sigma, vt = np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(str(exc)) from exc
+    return _apply_sign_convention(u, sigma, vt)
 
 
 def _apply_sign_convention(u: np.ndarray, sigma: np.ndarray,

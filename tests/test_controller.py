@@ -441,6 +441,26 @@ def test_compare_traces_are_single_iteration(scenario9):
         report.svc_trace.initial_solution.vm)
 
 
+def test_compare_builds_model_and_initial_state_once(scenario30, monkeypatch):
+    import gridvolt.controller as controller
+
+    calls = {"build_model": 0, "solve_newton": 0}
+
+    def counting(name):
+        original = getattr(controller, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(controller, name, counting(name))
+    compare_ovc_svc(scenario30)
+    # one initial solve, then one re-solve per method
+    assert calls == {"build_model": 1, "solve_newton": 3}
+
+
 # ------------------------------------------------------------ conflict loop
 
 
