@@ -12,13 +12,14 @@ disturbance, and steer it back with minimal set-point effort:
     print(trace.outcome, len(trace.iterations))
 """
 
-from . import caseio, cli, controller, netmodel, numerics, powerflow, sensitivity
+import importlib
+
+from . import caseio, controller, netmodel, numerics, powerflow, sensitivity
 
 __version__ = "0.1.0"
 
 __all__ = [
     "caseio",
-    "cli",
     "controller",
     "netmodel",
     "numerics",
@@ -26,3 +27,11 @@ __all__ = [
     "sensitivity",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # ``cli`` is imported on first use, not with the package, so that
+    # ``python -m gridvolt.cli`` runs a module that is not yet imported.
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

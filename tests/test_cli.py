@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -215,3 +217,17 @@ def test_invalid_network_exits_1(tmp_path, capsys):
     code = main(["--case", str(bad), "--method", "solve"])
     assert code == 1
     assert "invalid network" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["gridvolt", "gridvolt.cli"])
+def test_python_dash_m_runs_cleanly(module):
+    import gridvolt
+
+    src = os.path.dirname(os.path.dirname(gridvolt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "--case", "case9", "--method", "solve"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("Converged in ")
