@@ -1,10 +1,11 @@
 """Dense real linear algebra: LU solves, inversion, and the SVD.
 
 Everything here is written against plain ``numpy.ndarray`` (row-major dense
-storage). The LU is implemented directly: its pivot threshold decides when
-a matrix counts as singular, and callers reuse one factorization for many
-solves. The SVD is LAPACK's, given a fixed sign convention so results are
-reproducible.
+storage). One-shot solves (:func:`lu_solve`) use LAPACK's ``gesv``. The
+explicit factorization (:func:`lu_factor`) is implemented directly: its
+pivot threshold decides when a matrix counts as singular, and callers reuse
+one factorization for many solves. The SVD is LAPACK's, given a fixed sign
+convention so results are reproducible.
 
 All tolerances are centralized below as named constants.
 """
@@ -123,12 +124,28 @@ def lu_solve_factored(fac: LuFactorization, b) -> np.ndarray:
 
 
 def lu_solve(a, b) -> np.ndarray:
-    """Solve a x = b by LU with partial pivoting.
+    """Solve a x = b in one shot with LAPACK's ``gesv`` (LU with partial
+    pivoting). ``b`` may be 1-D or 2-D.
 
-    Raises ``SingularMatrixError`` when a pivot falls below
-    ``LU_PIVOT_RTOL * ||a||_inf``.
+    Raises ``SingularMatrixError`` when LAPACK meets an exactly zero pivot
+    or the solution is not finite. The ``LU_PIVOT_RTOL`` threshold and
+    factor reuse belong to :func:`lu_factor`.
     """
-    return lu_solve_factored(lu_factor(a), b)
+    a = _as_matrix(a)
+    n, m = a.shape
+    if n != m:
+        raise ValueError(f"square matrix required, got {n}x{m}")
+    b = np.array(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"rhs has shape {b.shape}, expected {n} rows")
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"singular matrix ({exc})") from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrixError("solution is not finite "
+                                  "(singular to working precision)")
+    return x
 
 
 def invert(a) -> np.ndarray:
@@ -166,19 +183,14 @@ def svd(a) -> SvdResult:
 
 def _apply_sign_convention(u: np.ndarray, sigma: np.ndarray,
                            vt: np.ndarray) -> SvdResult:
-    m = u.shape[0]
     r = len(sigma)
-    for k in range(m):
-        j = int(np.argmax(np.abs(u[:, k])))
-        if u[j, k] < 0:
-            u[:, k] = -u[:, k]
-            if k < r:
-                vt[k, :] = -vt[k, :]
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0
+    u[:, flip] = -u[:, flip]
+    vt[:r][flip[:r]] = -vt[:r][flip[:r]]
     # Rows of vt beyond the coupled range get their own deterministic sign.
-    for k in range(r, vt.shape[0]):
-        j = int(np.argmax(np.abs(vt[k, :])))
-        if vt[k, j] < 0:
-            vt[k, :] = -vt[k, :]
+    rest = vt[r:]
+    flip = rest[np.arange(len(rest)), np.argmax(np.abs(rest), axis=1)] < 0
+    rest[flip] = -rest[flip]
     return SvdResult(u=u, sigma=sigma, vt=vt)
 
 

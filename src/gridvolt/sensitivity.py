@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmodel import BusPartition, Network, partition_buses
-from .numerics import SingularMatrixError, invert, lu_solve
+from .numerics import SingularMatrixError, invert, lu_factor, lu_solve_factored
 from .powerflow import build_bpp_full
 
 __all__ = ["SensitivityModel", "build_bpp", "build_model", "predict_dvpq"]
@@ -97,8 +97,9 @@ def build_model(net: Network, partition: BusPartition | None = None) -> Sensitiv
     s21 = s_vq[npv:, :npv]
     s22 = s_vq[npv:, npv:]
     try:
-        # a_ctrl = s21 @ inv(s11), via a transposed solve for accuracy.
-        a_ctrl = lu_solve(s11.T, s21.T).T
+        # a_ctrl = s21 @ inv(s11), via a transposed solve for accuracy; the
+        # hand-written LU reports the pivot the condition estimate needs.
+        a_ctrl = lu_solve_factored(lu_factor(s11.T), s21.T).T
     except SingularMatrixError as exc:
         norm = float(np.max(np.sum(np.abs(s11), axis=1))) if npv else 0.0
         cond_est = norm / max(exc.pivot, np.finfo(float).tiny)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -231,3 +232,16 @@ def test_python_dash_m_runs_cleanly(module):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.startswith("Converged in ")
+
+
+def test_heavy_disturbance_ends_as_divergence(capsys):
+    # Newton blows up on this disturbance (|J|_inf reaches ~1e8, against
+    # ~1e2 on a converging solve): the outcome is "did not converge"
+    # (exit 2), not a singular-Jacobian input error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--case", "case14", "--disturb", "10:+250",
+                     "--method", "solve"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: Newton power flow did not converge")

@@ -5,9 +5,11 @@ from gridvolt.numerics import (
     SVD_ORTHOGONALITY_TOL,
     SVD_RECONSTRUCTION_RTOL,
     SingularMatrixError,
+    _apply_sign_convention,
     invert,
     lu_factor,
     lu_solve,
+    lu_solve_factored,
     svd,
     top_singular_pair,
 )
@@ -99,6 +101,40 @@ def test_lu_factor_reconstructs():
     lower = np.tril(fac.lu, -1) + np.eye(6)
     upper = np.triu(fac.lu)
     assert np.allclose(lower @ upper, a[fac.piv], atol=1e-12)
+
+
+def test_lu_solve_agrees_with_hand_factorization():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        n = int(rng.integers(1, 21))
+        a = rng.standard_normal((n, n)) + n * np.eye(n)  # well-conditioned
+        fac = lu_factor(a)
+        for b in (rng.standard_normal(n),
+                  rng.standard_normal((n, int(rng.integers(1, 5))))):
+            x = lu_solve(a, b)
+            ref = lu_solve_factored(fac, b)
+            assert x.shape == ref.shape
+            assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_lu_solve_exactly_singular_3x3_raises_singular_error():
+    # Row 1 is twice row 0: LAPACK meets an exactly zero pivot, and its
+    # LinAlgError must surface as SingularMatrixError.
+    a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(SingularMatrixError):
+        lu_solve(a, np.ones(3))
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.ones((2, 3)), np.ones(2)),                      # not square
+    (np.eye(3), np.ones(2)),                            # rhs row count
+    (np.eye(3), np.ones((4, 2))),                       # 2-D rhs row count
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2)),  # non-finite
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2)),
+])
+def test_lu_solve_rejects_bad_input(a, b):
+    with pytest.raises(ValueError):
+        lu_solve(a, b)
 
 
 # ------------------------------------------------------------------------ invert
@@ -235,6 +271,38 @@ def test_svd_nonconvergence_raises_convergence_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     with pytest.raises(numerics.SvdConvergenceError, match="did not converge"):
         svd(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def _sign_convention_loop(u, sigma, vt):
+    # Per-column reference for the vectorised sign convention.
+    r = len(sigma)
+    for k in range(u.shape[0]):
+        j = int(np.argmax(np.abs(u[:, k])))
+        if u[j, k] < 0:
+            u[:, k] = -u[:, k]
+            if k < r:
+                vt[k, :] = -vt[k, :]
+    for k in range(r, vt.shape[0]):
+        j = int(np.argmax(np.abs(vt[k, :])))
+        if vt[k, j] < 0:
+            vt[k, :] = -vt[k, :]
+    return u, vt
+
+
+def test_sign_convention_matches_per_column_loop():
+    rng = np.random.default_rng(47)
+    shapes = [(1, 1), (1, 6), (6, 1), (3, 9), (9, 3), (12, 12)]
+    shapes += [tuple(int(d) for d in rng.integers(1, 13, size=2))
+               for _ in range(100)]
+    for m, n in shapes:
+        a = rng.standard_normal((m, n))
+        if rng.random() < 0.3:
+            a = np.outer(a[:, 0], a[0])  # rank one
+        u, sigma, vt = np.linalg.svd(a)
+        ref_u, ref_vt = _sign_convention_loop(u.copy(), sigma, vt.copy())
+        res = _apply_sign_convention(u, sigma, vt)
+        assert np.array_equal(res.u, ref_u), (m, n)
+        assert np.array_equal(res.vt, ref_vt), (m, n)
 
 
 def test_svd_deterministic():

@@ -262,6 +262,23 @@ def test_inductive_load_never_raises_local_voltage(all_cases):
             assert sol.vm_at(int(bus)) <= base.vm_at(int(bus)) + 1e-12
 
 
+def test_newton_uses_no_hand_factorization(case30, monkeypatch):
+    from gridvolt import numerics
+
+    calls = []
+    original = numerics.lu_factor
+
+    def counting_lu_factor(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(powerflow, "lu_factor", counting_lu_factor)
+    monkeypatch.setattr(numerics, "lu_factor", counting_lu_factor)
+    sol = solve_newton(case30)
+    assert sol.converged and sol.iterations > 0
+    assert calls == []
+
+
 def test_mismatch_dimension_check(case9):
     with pytest.raises(ValueError):
         bus_mismatch(case9, np.ones(5), np.zeros(9))
