@@ -24,7 +24,13 @@ import numpy as np
 
 from .netmodel import BusPartition, Network
 from .numerics import top_singular_pair
-from .powerflow import PF_TOLERANCE, PowerFlowSolution, solve_newton
+from .powerflow import (
+    PF_TOLERANCE,
+    NewtonSystem,
+    PowerFlowSolution,
+    newton_system,
+    solve_newton,
+)
 from .sensitivity import SensitivityModel, build_model
 
 __all__ = [
@@ -49,6 +55,7 @@ __all__ = [
 ]
 
 SIGMA_FLOOR = 1e-10  # below this the selected bus is uncontrollable
+SELECT_TIE_ATOL = 1e-12  # pu; deviations this close to the least one tie
 
 
 class ControllerError(RuntimeError):
@@ -167,10 +174,16 @@ def find_critical_buses(sol: PowerFlowSolution, cfg: ControlConfig,
 def select_controlled_bus(critical: list[tuple[int, float]],
                           cfg: ControlConfig) -> int:
     """The critical bus with least deviation from the reference voltage;
-    ties break toward the lowest bus id."""
+    ties break toward the lowest bus id.
+
+    Deviations within ``SELECT_TIE_ATOL`` of the least one are ties, so
+    that rounding (``1.12 - 1.0`` exceeds ``1.0 - 0.88``) does not decide.
+    """
     if not critical:
         raise ControllerError("no critical buses to select from")
-    return min(critical, key=lambda pair: (abs(pair[1] - cfg.v_ref), pair[0]))[0]
+    least = min(abs(v - cfg.v_ref) for _, v in critical)
+    return min(bus for bus, v in critical
+               if abs(v - cfg.v_ref) - least <= SELECT_TIE_ATOL)
 
 
 def build_weight_matrix(cb: int, partition: BusPartition) -> np.ndarray:
@@ -308,33 +321,29 @@ def _current_setpoints(vm, model: SensitivityModel) -> np.ndarray:
     return np.array([vm[i] for i in model.partition.pv_idx], dtype=float)
 
 
-def _apply_setpoints(net: Network, model: SensitivityModel,
-                     setpoints: np.ndarray) -> Network:
-    by_id = dict(zip(model.pv_ids, setpoints))
-    buses = tuple(
-        replace(b, v_setpoint=float(by_id[b.id])) if b.id in by_id else b
-        for b in net.buses
-    )
-    gens = tuple(
-        replace(g, v_setpoint=float(by_id[g.bus])) if g.bus in by_id else g
-        for g in net.generators
-    )
-    return replace(net, buses=buses, generators=gens)
-
-
 def _initial_state(net: Network, cfg: ControlConfig):
-    """The sensitivity model and the converged start state of ``net``."""
-    return build_model(net), solve_newton(net, tol=cfg.pf_tolerance)
+    """The Newton system, the sensitivity model and the converged start
+    state of ``net``, which is validated and partitioned once for all
+    three."""
+    system = newton_system(net)
+    model = build_model(net, system.partition)
+    return system, model, solve_newton(system, tol=cfg.pf_tolerance)
 
 
-def _run_loop(net: Network, cfg: ControlConfig, method: str, step,
+def _run_loop(cfg: ControlConfig, method: str, step, system: NewtonSystem,
               model: SensitivityModel,
               initial: PowerFlowSolution) -> ControlTrace:
     """Iterate ``step`` (:func:`ovc_step` or :func:`svc_step`) from the
-    solved start state; ``method`` labels the trace."""
+    solved start state; ``method`` labels the trace.
+
+    Each power-flow re-solve runs Newton on the prebuilt ``system`` moved
+    to the new set-points (:meth:`NewtonSystem.at`, which still rejects a
+    set-point outside (0, 2) pu), from the same flat start as the initial
+    solve; no network is rebuilt, validated or re-assembled inside the
+    loop.
+    """
     part = model.partition
     vm = initial.vm.copy()
-    current = net
     sol = initial
     records: list[IterationRecord] = []
     j_total = 0.0
@@ -367,10 +376,9 @@ def _run_loop(net: Network, cfg: ControlConfig, method: str, step,
             break
 
         setpoints = _current_setpoints(vm, model) + record.dv_pv
-        current = _apply_setpoints(current, model, setpoints)
         vm_before = vm.copy()
         if cfg.evaluation_mode is EvaluationMode.POWER_FLOW:
-            sol = solve_newton(current, tol=cfg.pf_tolerance)
+            sol = solve_newton(system.at(setpoints), tol=cfg.pf_tolerance)
             vm = sol.vm.copy()
         else:
             vm = vm.copy()
@@ -411,13 +419,13 @@ def ovc_run(net: Network, cfg: ControlConfig | None = None) -> ControlTrace:
     non-success outcome (iteration cap, oscillation, uncontrollable bus).
     """
     cfg = cfg or ControlConfig()
-    return _run_loop(net, cfg, "ovc", ovc_step, *_initial_state(net, cfg))
+    return _run_loop(cfg, "ovc", ovc_step, *_initial_state(net, cfg))
 
 
 def svc_run(net: Network, cfg: ControlConfig | None = None) -> ControlTrace:
     """Run the single-generator baseline loop to completion."""
     cfg = cfg or ControlConfig()
-    return _run_loop(net, cfg, "svc", svc_step, *_initial_state(net, cfg))
+    return _run_loop(cfg, "svc", svc_step, *_initial_state(net, cfg))
 
 
 def compare_ovc_svc(net: Network, cfg: ControlConfig | None = None) -> ComparisonReport:
@@ -431,14 +439,14 @@ def compare_ovc_svc(net: Network, cfg: ControlConfig | None = None) -> Compariso
     cfg = cfg or ControlConfig()
     one_shot = replace(cfg, max_iterations=1,
                        evaluation_mode=EvaluationMode.POWER_FLOW)
-    model, initial = _initial_state(net, cfg)
+    system, model, initial = _initial_state(net, cfg)
     critical = find_critical_buses(initial, cfg, model.partition)
     if not critical:
         raise ControllerError("no critical bus: nothing to compare")
     cb = select_controlled_bus(critical, cfg)
 
-    ovc_trace = _run_loop(net, one_shot, "ovc", ovc_step, model, initial)
-    svc_trace = _run_loop(net, one_shot, "svc", svc_step, model, initial)
+    ovc_trace = _run_loop(one_shot, "ovc", ovc_step, system, model, initial)
+    svc_trace = _run_loop(one_shot, "svc", svc_step, system, model, initial)
     return ComparisonReport(
         controlled_bus=cb,
         j_ovc=ovc_trace.j_achieved_total,

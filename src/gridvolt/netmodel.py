@@ -167,6 +167,13 @@ def _connected(net: Network) -> bool:
     return len(seen) == len(adj)
 
 
+def _setpoint_problem(bus_id: int, v: float) -> str | None:
+    """The report line for a magnitude set-point outside (0, 2) pu."""
+    if 0 < v < 2:
+        return None
+    return f"bus {bus_id}: set-point {v} outside (0, 2) pu"
+
+
 def validate_network(net: Network) -> list[str]:
     """Check every structural invariant; return one message per violation.
 
@@ -194,8 +201,9 @@ def validate_network(net: Network) -> list[str]:
             report.append(f"bus {b.id}: id must be a positive integer")
         if not (0 < b.v_min < b.v_max):
             report.append(f"bus {b.id}: voltage limits invalid ({b.v_min}, {b.v_max})")
-        if not (0 < b.v_setpoint < 2):
-            report.append(f"bus {b.id}: set-point {b.v_setpoint} outside (0, 2) pu")
+        problem = _setpoint_problem(b.id, b.v_setpoint)
+        if problem is not None:
+            report.append(problem)
 
     for k, br in enumerate(net.branches):
         if br.from_bus not in id_set:

@@ -10,17 +10,36 @@ reactive sensitivity matrix of the control model, keeping solver and
 controller consistent. :func:`bus_mismatch` recomputes residuals from
 first principles, branch by branch, as an independent audit of either
 solver.
+
+Newton's set-up is built once per network: :func:`newton_system`
+validates and partitions it and assembles Ybus and the schedule, and
+:meth:`NewtonSystem.at` moves that system to other slack/PV set-points -
+which is all a control loop changes between re-solves - without
+rebuilding anything. :func:`solve_newton` iterates on a network or on such
+a system, so every Newton solve runs through it; its Jacobian is formed by
+broadcasting (MATPOWER's ``dSbus_dV``), O(n^2) per iteration rather than
+the O(n^3) of dense diagonal-matrix products. :func:`solve_newton_system`
+is ``solve_newton(system.at(setpoints))``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .netmodel import Branch, BusKind, Network, bus_order, partition_buses
+from .netmodel import (
+    Branch,
+    BusKind,
+    BusPartition,
+    Network,
+    NetworkError,
+    _setpoint_problem,
+    bus_order,
+    partition_buses,
+)
 from .numerics import lu_factor, lu_solve, lu_solve_factored
 
 __all__ = [
@@ -31,9 +50,12 @@ __all__ = [
     "PowerFlowSolution",
     "PowerFlowError",
     "PowerFlowDivergedError",
+    "NewtonSystem",
     "build_ybus",
     "build_bpp_full",
     "build_bprime_full",
+    "newton_system",
+    "solve_newton_system",
     "solve_newton",
     "solve_fdlf",
     "bus_mismatch",
@@ -214,7 +236,94 @@ def _mismatch_norm(dp, dq, pvpq, pq) -> float:
     return worst
 
 
-def solve_newton(net: Network, tol: float = PF_TOLERANCE,
+@dataclass(frozen=True, eq=False)
+class NewtonSystem:
+    """What Newton's iteration reads of one network, built once by
+    :func:`newton_system`.
+
+    ``vm0`` is the flat start magnitude (slack/PV set-points, 1.0 pu at PQ
+    buses); ``pvpq`` indexes the non-slack buses, ``pq`` the load buses and
+    ``pv`` the slack and PV buses in ``partition.pv_idx`` order. The arrays
+    are read-only: one system serves any number of solves.
+    """
+
+    partition: BusPartition
+    ybus: np.ndarray
+    p_sched: np.ndarray
+    q_sched: np.ndarray
+    vm0: np.ndarray
+    pvpq: np.ndarray
+    pq: np.ndarray
+    pv: np.ndarray
+    ids: tuple[int, ...]
+
+    def at(self, setpoints) -> NewtonSystem:
+        """This system with the slack and PV magnitudes replaced by
+        ``setpoints`` (in ``partition.pv_idx`` order): the system of the
+        network rebuilt with those set-points, without rebuilding it.
+
+        Raises ``ValueError`` for a wrong shape and ``NetworkError``, with
+        :func:`~gridvolt.netmodel.validate_network`'s text, for a set-point
+        that is not finite or lies outside (0, 2) pu.
+        """
+        setpoints = np.asarray(setpoints, dtype=float)
+        if setpoints.shape != self.pv.shape:
+            raise ValueError(
+                f"setpoints have shape {setpoints.shape}, expected "
+                f"{self.pv.shape}")
+        problems = [p for i, v in zip(self.pv, setpoints)
+                    if (p := _setpoint_problem(self.ids[i], float(v))) is not None]
+        if problems:
+            raise NetworkError("invalid network: " + "; ".join(problems))
+        vm0 = self.vm0.copy()
+        vm0[self.pv] = setpoints
+        vm0.flags.writeable = False
+        return replace(self, vm0=vm0)
+
+
+def newton_system(net: Network) -> NewtonSystem:
+    """Validate and partition ``net`` and assemble its Newton system.
+
+    Raises ``NetworkError`` for an invalid network and
+    :class:`PowerFlowError` for an in-service zero-impedance branch.
+    """
+    part = partition_buses(net)
+    order = part.ext_to_int
+    ybus = _assemble_ybus(net)
+    p_sched, q_sched = _scheduled_injections(net, order)
+    vm0, _ = _start_state(net, order)
+    pvpq = np.array([i for i in range(len(order)) if i != part.slack_idx], dtype=int)
+    pq = np.array(part.pq_idx, dtype=int)
+    pv = np.array(part.pv_idx, dtype=int)
+    for arr in (ybus, p_sched, q_sched, vm0, pvpq, pq, pv):
+        arr.flags.writeable = False
+    return NewtonSystem(partition=part, ybus=ybus, p_sched=p_sched,
+                        q_sched=q_sched, vm0=vm0, pvpq=pvpq, pq=pq, pv=pv,
+                        ids=tuple(sorted(order)))
+
+
+def _jacobian(ybus: np.ndarray, vm, va, pvpq, pq) -> np.ndarray:
+    """Newton Jacobian [[dP/dVa, dP/dVm], [dQ/dVa, dQ/dVm]] over the
+    non-slack angles and the PQ magnitudes.
+
+    MATPOWER's ``dSbus_dV``: dS/dVa = j diag(v) conj(diag(ibus) - Y diag(v))
+    and dS/dVm = diag(v) conj(Y diag(vn)) + conj(diag(ibus)) diag(vn), each
+    product by a diagonal matrix done as a broadcast.
+    """
+    v = vm * np.exp(1j * va)
+    ibus = ybus @ v
+    vn = v / np.abs(v)
+    ds_dva = 1j * v[:, None] * np.conj(np.diag(ibus) - ybus * v)
+    ds_dvm = v[:, None] * np.conj(ybus * vn) + np.diag(np.conj(ibus) * vn)
+    return np.vstack([
+        np.hstack([ds_dva[np.ix_(pvpq, pvpq)].real,
+                   ds_dvm[np.ix_(pvpq, pq)].real]),
+        np.hstack([ds_dva[np.ix_(pq, pvpq)].imag,
+                   ds_dvm[np.ix_(pq, pq)].imag]),
+    ])
+
+
+def solve_newton(net: Network | NewtonSystem, tol: float = PF_TOLERANCE,
                  max_iter: int = NEWTON_MAX_ITER) -> PowerFlowSolution:
     """Full Newton-Raphson power flow in polar coordinates.
 
@@ -223,51 +332,49 @@ def solve_newton(net: Network, tol: float = PF_TOLERANCE,
     the reactive mismatch at every PQ bus are below ``tol`` (pu on the
     system base) and PV/slack magnitudes equal their set-points exactly.
     Raises :class:`PowerFlowDivergedError` after ``max_iter`` iterations.
-    """
-    part = partition_buses(net)
-    order = part.ext_to_int
-    ids = tuple(sorted(order))
-    ybus = _assemble_ybus(net)
-    p_sched, q_sched = _scheduled_injections(net, order)
-    vm, va = _start_state(net, order)
 
-    pvpq = np.array([i for i in range(len(ids)) if i != part.slack_idx], dtype=int)
-    pq = np.array(part.pq_idx, dtype=int)
+    ``net`` may also be a prebuilt :class:`NewtonSystem`, which skips
+    validation and assembly: to solve one network at several set-points,
+    build it once with :func:`newton_system` and solve ``system.at(..)``.
+    """
+    system = net if isinstance(net, NewtonSystem) else newton_system(net)
+    ybus, pvpq, pq = system.ybus, system.pvpq, system.pq
+    vm = system.vm0.copy()
+    va = np.zeros(len(vm))
     npvpq = len(pvpq)
 
-    dp, dq = _power_mismatch(ybus, vm, va, p_sched, q_sched)
+    dp, dq = _power_mismatch(ybus, vm, va, system.p_sched, system.q_sched)
     worst = _mismatch_norm(dp, dq, pvpq, pq)
     iterations = 0
     while worst > tol and iterations < max_iter:
-        v = vm * np.exp(1j * va)
-        ibus = ybus @ v
-        diag_v = np.diag(v)
-        diag_i = np.diag(ibus)
-        diag_vn = np.diag(v / np.abs(v))
-        ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-        ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
-        jac = np.vstack([
-            np.hstack([ds_dva[np.ix_(pvpq, pvpq)].real,
-                       ds_dvm[np.ix_(pvpq, pq)].real]),
-            np.hstack([ds_dva[np.ix_(pq, pvpq)].imag,
-                       ds_dvm[np.ix_(pq, pq)].imag]),
-        ])
         rhs = np.concatenate([dp[pvpq], dq[pq]])
-        step = lu_solve(jac, rhs)
+        step = lu_solve(_jacobian(ybus, vm, va, pvpq, pq), rhs)
         va[pvpq] += step[:npvpq]
         vm[pq] += step[npvpq:]
         iterations += 1
-        dp, dq = _power_mismatch(ybus, vm, va, p_sched, q_sched)
+        dp, dq = _power_mismatch(ybus, vm, va, system.p_sched, system.q_sched)
         worst = _mismatch_norm(dp, dq, pvpq, pq)
 
     solution = PowerFlowSolution(vm=vm, va=va, converged=worst <= tol,
                                  iterations=iterations, max_mismatch=worst,
-                                 ids=ids)
+                                 ids=system.ids)
     if not solution.converged:
         raise PowerFlowDivergedError(
             f"Newton power flow did not converge in {max_iter} iterations "
             f"(max mismatch {worst:.3e} pu)", solution)
     return solution
+
+
+def solve_newton_system(system: NewtonSystem, setpoints=None,
+                        tol: float = PF_TOLERANCE,
+                        max_iter: int = NEWTON_MAX_ITER) -> PowerFlowSolution:
+    """Newton-Raphson power flow of a prebuilt :class:`NewtonSystem`, at
+    ``setpoints`` (see :meth:`NewtonSystem.at`) if given; the same contract
+    and errors as :func:`solve_newton`.
+    """
+    if setpoints is not None:
+        system = system.at(setpoints)
+    return solve_newton(system, tol=tol, max_iter=max_iter)
 
 
 def solve_fdlf(net: Network, tol: float = PF_TOLERANCE,

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -245,3 +246,12 @@ def test_heavy_disturbance_ends_as_divergence(capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith(
         "error: Newton power flow did not converge")
+
+
+def test_unclamped_setpoint_outside_range_exits_1(capsys):
+    code = main(["--case", "case30", "--disturb", "14:-200", "--method", "svc",
+                 "--no-clamp"])
+    assert code == 1
+    assert re.fullmatch(r"error: invalid network: bus 13: set-point "
+                        r"-0\.02628501\d* outside \(0, 2\) pu\n",
+                        capsys.readouterr().err)

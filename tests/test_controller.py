@@ -97,6 +97,14 @@ def test_select_controlled_bus_least_deviation():
         select_controlled_bus([], CFG)
 
 
+def test_select_tie_breaks_to_low_id_under_rounding():
+    # 1.12 - 1.0 is 0.1200000000000001 but 1.0 - 0.88 is 0.12: still a tie
+    assert select_controlled_bus([(4, 1.12), (5, 0.88)], CFG) == 4
+    assert select_controlled_bus([(5, 0.88), (4, 1.12)], CFG) == 4
+    # a real difference still decides
+    assert select_controlled_bus([(4, 1.12), (5, 0.8801)], CFG) == 5
+
+
 # ------------------------------------------------------------------- weights
 
 
@@ -444,7 +452,7 @@ def test_compare_traces_are_single_iteration(scenario9):
 def test_compare_builds_model_and_initial_state_once(scenario30, monkeypatch):
     import gridvolt.controller as controller
 
-    calls = {"build_model": 0, "solve_newton": 0}
+    calls = {"build_model": 0, "newton_system": 0, "solve_newton": 0}
 
     def counting(name):
         original = getattr(controller, name)
@@ -457,8 +465,42 @@ def test_compare_builds_model_and_initial_state_once(scenario30, monkeypatch):
     for name in calls:
         monkeypatch.setattr(controller, name, counting(name))
     compare_ovc_svc(scenario30)
-    # one initial solve, then one re-solve per method
-    assert calls == {"build_model": 1, "solve_newton": 3}
+    # one system and one initial solve, then one re-solve per method
+    assert calls == {"build_model": 1, "newton_system": 1, "solve_newton": 3}
+
+
+def test_ovc_run_builds_newton_system_once(scenario30, monkeypatch):
+    import gridvolt.controller as controller
+
+    calls = {"newton_system": 0, "solve_newton": 0, "validate_network": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(controller, "newton_system")
+    counting(controller, "solve_newton")
+    counting(netmodel, "validate_network")
+    trace = ovc_run(scenario30, ControlConfig(v_min=0.97, v_max=1.03))
+    assert len(trace.iterations) > 2
+    # one initial solve plus one re-solve per iteration, all on one system
+    assert calls == {"newton_system": 1,
+                     "solve_newton": 1 + len(trace.iterations),
+                     "validate_network": 1}
+
+
+def test_unclamped_step_outside_setpoint_range_is_an_invalid_network(case30):
+    # without clamping, one single-generator step takes bus 13 below 0 pu;
+    # the re-solve rejects it exactly as validating the rebuilt network did
+    net = netmodel.apply_disturbance(case30, 14, -200.0)
+    with pytest.raises(netmodel.NetworkError,
+                       match=r"^invalid network: bus 13: set-point -0\.02628501\d* "
+                             r"outside \(0, 2\) pu$"):
+        svc_run(net, ControlConfig(clamp_pv=False))
 
 
 # ------------------------------------------------------------ conflict loop

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from gridvolt.powerflow import (
     build_bprime_full,
     build_ybus,
     bus_mismatch,
+    newton_system,
     solve_fdlf,
     solve_newton,
+    solve_newton_system,
 )
 
 from conftest import three_bus_toy, two_bus_toy, two_bus_voltage
@@ -298,3 +302,124 @@ def test_solve_network_without_load_buses():
         sol = solver(net)
         assert sol.converged
         assert sol.vm_at(2) == 1.02
+
+
+# ----------------------------------------------------------- newton system
+
+
+def dense_reference_jacobian(ybus, vm, va, pvpq, pq):
+    """The Jacobian from dense diagonal-matrix products, as first written."""
+    v = vm * np.exp(1j * va)
+    ibus = ybus @ v
+    diag_v = np.diag(v)
+    diag_i = np.diag(ibus)
+    diag_vn = np.diag(v / np.abs(v))
+    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+    ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
+    return np.vstack([
+        np.hstack([ds_dva[np.ix_(pvpq, pvpq)].real,
+                   ds_dvm[np.ix_(pvpq, pq)].real]),
+        np.hstack([ds_dva[np.ix_(pq, pvpq)].imag,
+                   ds_dvm[np.ix_(pq, pq)].imag]),
+    ])
+
+
+def with_setpoints(net, setpoints):
+    """``net`` rebuilt with new slack/PV magnitudes, given by bus id."""
+    buses = tuple(dataclasses.replace(b, v_setpoint=setpoints[b.id])
+                  if b.id in setpoints else b for b in net.buses)
+    gens = tuple(dataclasses.replace(g, v_setpoint=setpoints[g.bus])
+                 if g.bus in setpoints else g for g in net.generators)
+    return dataclasses.replace(net, buses=buses, generators=gens)
+
+
+@pytest.mark.parametrize("name", ["case30", "case14"])
+def test_broadcast_jacobian_matches_dense_products(all_cases, name):
+    net = all_cases[name]
+    if name == "case14":
+        net = netmodel.apply_disturbance(net, 10, -46.4)
+    system = newton_system(net)
+    sol = solve_newton_system(system)
+    # a non-flat state away from the solution, so that no term vanishes
+    rng = np.random.default_rng(7)
+    vm = sol.vm * rng.uniform(0.97, 1.03, sol.vm.size)
+    va = sol.va + rng.uniform(-0.05, 0.05, sol.va.size)
+    got = powerflow._jacobian(system.ybus, vm, va, system.pvpq, system.pq)
+    want = dense_reference_jacobian(system.ybus, vm, va, system.pvpq, system.pq)
+    assert got.shape == want.shape == (len(system.pvpq) + len(system.pq),) * 2
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["case9", "case14", "case30"])
+def test_system_solve_at_setpoints_matches_rebuilt_network(all_cases, name):
+    net = all_cases[name]
+    system = newton_system(net)
+    pv_ids = [system.partition.int_to_ext[i] for i in system.partition.pv_idx]
+    stock = np.array([net.bus(b).v_setpoint for b in pv_ids])
+    for k in range(3):
+        setpoints = stock + 0.02 * np.sin(np.arange(stock.size) + k)
+        got = solve_newton_system(system, setpoints)
+        want = solve_newton(with_setpoints(net, dict(zip(pv_ids, setpoints))))
+        assert got.ids == want.ids
+        assert got.iterations == want.iterations
+        assert np.max(np.abs(got.vm - want.vm)) <= 1e-12
+        assert np.max(np.abs(got.va - want.va)) <= 1e-12
+    # the system is untouched by its solves
+    again = solve_newton_system(system)
+    first = solve_newton(net)
+    assert np.array_equal(again.vm, first.vm)
+    assert np.array_equal(again.va, first.va)
+
+
+def test_newton_system_is_read_only_and_checks_setpoints(case9):
+    system = newton_system(case9)
+    assert system.ids == tuple(range(1, 10))
+    assert np.array_equal(system.ybus, build_ybus(case9).complex())
+    for arr in (system.ybus, system.vm0, system.pvpq, system.pq, system.pv):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        solve_newton_system(system, np.ones(len(system.pv) + 1))
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, 0.0, -0.03, np.nan, np.inf])
+def test_setpoint_outside_range_fails_as_on_the_rebuilt_network(case9, bad):
+    system = newton_system(case9)
+    pv_ids = [system.partition.int_to_ext[i] for i in system.partition.pv_idx]
+    setpoints = np.array([case9.bus(b).v_setpoint for b in pv_ids])
+    setpoints[1] = bad
+    with pytest.raises(netmodel.NetworkError) as rebuilt:
+        newton_system(with_setpoints(case9, dict(zip(pv_ids, setpoints))))
+    for solve in (lambda: system.at(setpoints),
+                  lambda: solve_newton_system(system, setpoints)):
+        with pytest.raises(netmodel.NetworkError) as got:
+            solve()
+        assert str(got.value) == str(rebuilt.value)
+    assert f"bus {pv_ids[1]}: set-point {bad} outside (0, 2) pu" in str(rebuilt.value)
+
+
+def test_solve_newton_on_a_system_skips_validation(case30, monkeypatch):
+    system = newton_system(case30)
+    moved = system.at(system.vm0[system.pv] + 0.01)
+    calls = []
+    monkeypatch.setattr(netmodel, "validate_network",
+                        lambda net: calls.append(net) or [])
+    sol = solve_newton(moved)
+    assert calls == []
+    assert sol.ids == system.ids
+    assert np.array_equal(sol.vm[system.pv], moved.vm0[system.pv])
+    assert np.array_equal(sol.vm, solve_newton_system(
+        system, system.vm0[system.pv] + 0.01).vm)
+
+
+@pytest.mark.parametrize("name", ["case9", "case14", "case30"])
+def test_bundled_voltages_match_pinned_solution(scenarios, name):
+    # the pinned solve report of each bundled scenario, written by the
+    # dense-Jacobian solver
+    golden = Path(__file__).parent / "golden" / f"{name}-solve-json.out"
+    want = json.loads(golden.read_text(encoding="utf-8"))["buses"]
+    sol = solve_newton(scenarios[name])
+    assert list(sol.ids) == [row["bus"] for row in want]
+    vm = np.array([row["vm_pu"] for row in want])
+    va = np.radians([row["va_deg"] for row in want])
+    assert np.max(np.abs(sol.vm - vm)) <= 1e-10
+    assert np.max(np.abs(sol.va - va)) <= 1e-10
