@@ -12,14 +12,19 @@ first principles, branch by branch, as an independent audit of either
 solver.
 
 Newton's set-up is built once per network: :func:`newton_system`
-validates and partitions it and assembles Ybus and the schedule, and
-:meth:`NewtonSystem.at` moves that system to other slack/PV set-points -
-which is all a control loop changes between re-solves - without
-rebuilding anything. :func:`solve_newton` iterates on a network or on such
-a system, so every Newton solve runs through it; its Jacobian is formed by
-broadcasting (MATPOWER's ``dSbus_dV``), O(n^2) per iteration rather than
-the O(n^3) of dense diagonal-matrix products. :func:`solve_newton_system`
-is ``solve_newton(system.at(setpoints))``.
+validates and partitions it, assembles Ybus and the schedule, and cuts
+out the Ybus row blocks the Jacobian reads (the non-slack rows in the
+angle and the magnitude columns); :meth:`NewtonSystem.at` moves that
+system to other slack/PV set-points - which is all a control loop changes
+between re-solves - without rebuilding anything. :func:`solve_newton`
+iterates on a network or on such a system, so every Newton solve runs
+through it. Each iteration forms one voltage vector, one injection
+``Ybus v`` and one mismatch vector, which is both the convergence measure
+and the right-hand side; the Jacobian is assembled from the row blocks by
+broadcasting (MATPOWER's ``dSbus_dV``) straight into one real array, with
+no full-size complex derivative and no ``ix_`` cut. The fast-decoupled
+solver starts from the same system and mismatch vector.
+:func:`solve_newton_system` is ``solve_newton(system.at(setpoints))``.
 """
 
 from __future__ import annotations
@@ -97,7 +102,12 @@ class AdmittanceMatrix:
 
 @dataclass(frozen=True, eq=False)
 class PowerFlowSolution:
-    """Converged (or best-effort) bus state in the internal index space."""
+    """Converged (or best-effort) bus state in the internal index space.
+
+    ``mismatch_history`` is the solver's max mismatch (pu) at the start and
+    after each iteration: ``iterations + 1`` entries, the last one
+    ``max_mismatch``.
+    """
 
     vm: np.ndarray
     va: np.ndarray
@@ -105,6 +115,7 @@ class PowerFlowSolution:
     iterations: int
     max_mismatch: float
     ids: tuple[int, ...]
+    mismatch_history: tuple[float, ...] = ()
 
     def index_of(self, bus_id: int) -> int:
         return self.ids.index(bus_id)
@@ -211,29 +222,12 @@ def _scheduled_injections(net: Network, order: dict[int, int]):
     return p, q
 
 
-def _start_state(net: Network, order: dict[int, int]):
-    n = len(order)
-    vm = np.ones(n)
-    va = np.zeros(n)
+def _start_magnitudes(net: Network, order: dict[int, int]):
+    vm = np.ones(len(order))
     for bus in net.buses:
         if bus.kind in (BusKind.SLACK, BusKind.PV):
             vm[order[bus.id]] = bus.v_setpoint
-    return vm, va
-
-
-def _power_mismatch(ybus: np.ndarray, vm, va, p_sched, q_sched):
-    v = vm * np.exp(1j * va)
-    s = v * np.conj(ybus @ v)
-    return p_sched - s.real, q_sched - s.imag
-
-
-def _mismatch_norm(dp, dq, pvpq, pq) -> float:
-    worst = 0.0
-    if len(pvpq):
-        worst = float(np.max(np.abs(dp[pvpq])))
-    if len(pq):
-        worst = max(worst, float(np.max(np.abs(dq[pq]))))
-    return worst
+    return vm
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,8 +237,12 @@ class NewtonSystem:
 
     ``vm0`` is the flat start magnitude (slack/PV set-points, 1.0 pu at PQ
     buses); ``pvpq`` indexes the non-slack buses, ``pq`` the load buses and
-    ``pv`` the slack and PV buses in ``partition.pv_idx`` order. The arrays
-    are read-only: one system serves any number of solves.
+    ``pv`` the slack and PV buses in ``partition.pv_idx`` order. The
+    Jacobian reads Ybus only in the rows of ``pvpq``: ``y_va`` holds them in
+    the columns of ``pvpq`` (the angle columns), ``y_vm`` in the columns of
+    ``pq`` (the magnitude columns), and ``pq_pos`` gives each PQ bus's
+    position within ``pvpq``. The arrays are read-only: one system serves
+    any number of solves, and :meth:`at` shares all of them but ``vm0``.
     """
 
     partition: BusPartition
@@ -255,6 +253,9 @@ class NewtonSystem:
     pvpq: np.ndarray
     pq: np.ndarray
     pv: np.ndarray
+    y_va: np.ndarray
+    y_vm: np.ndarray
+    pq_pos: np.ndarray
     ids: tuple[int, ...]
 
     def at(self, setpoints) -> NewtonSystem:
@@ -291,36 +292,81 @@ def newton_system(net: Network) -> NewtonSystem:
     order = part.ext_to_int
     ybus = _assemble_ybus(net)
     p_sched, q_sched = _scheduled_injections(net, order)
-    vm0, _ = _start_state(net, order)
+    vm0 = _start_magnitudes(net, order)
     pvpq = np.array([i for i in range(len(order)) if i != part.slack_idx], dtype=int)
     pq = np.array(part.pq_idx, dtype=int)
     pv = np.array(part.pv_idx, dtype=int)
-    for arr in (ybus, p_sched, q_sched, vm0, pvpq, pq, pv):
+    y_va = ybus[np.ix_(pvpq, pvpq)]
+    y_vm = ybus[np.ix_(pvpq, pq)]
+    pq_pos = np.searchsorted(pvpq, pq)
+    for arr in (ybus, p_sched, q_sched, vm0, pvpq, pq, pv, y_va, y_vm, pq_pos):
         arr.flags.writeable = False
     return NewtonSystem(partition=part, ybus=ybus, p_sched=p_sched,
                         q_sched=q_sched, vm0=vm0, pvpq=pvpq, pq=pq, pv=pv,
+                        y_va=y_va, y_vm=y_vm, pq_pos=pq_pos,
                         ids=tuple(sorted(order)))
 
 
-def _jacobian(ybus: np.ndarray, vm, va, pvpq, pq) -> np.ndarray:
+def _mismatch(system: NewtonSystem, vm, va):
+    """Bus voltages ``v``, injected currents ``ibus = Ybus v`` and the
+    mismatch vector ``f = [dP(pvpq); dQ(pq)]`` (scheduled minus injected),
+    which is both the convergence measure and Newton's right-hand side."""
+    v = vm * np.exp(1j * va)
+    ibus = system.ybus @ v
+    s = v * np.conj(ibus)
+    f = np.concatenate([system.p_sched[system.pvpq] - s.real[system.pvpq],
+                        system.q_sched[system.pq] - s.imag[system.pq]])
+    return v, ibus, f
+
+
+def _max_abs(f) -> float:
+    return float(np.max(np.abs(f), initial=0.0))
+
+
+def _jacobian(system: NewtonSystem, v, ibus) -> np.ndarray:
     """Newton Jacobian [[dP/dVa, dP/dVm], [dQ/dVa, dQ/dVm]] over the
-    non-slack angles and the PQ magnitudes.
+    non-slack angles and the PQ magnitudes, at voltages ``v`` with
+    ``ibus = Ybus v``.
 
     MATPOWER's ``dSbus_dV``: dS/dVa = j diag(v) conj(diag(ibus) - Y diag(v))
     and dS/dVm = diag(v) conj(Y diag(vn)) + conj(diag(ibus)) diag(vn), each
-    product by a diagonal matrix done as a broadcast.
+    product by a diagonal matrix done as a broadcast, on the system's
+    ``pvpq`` rows only. The Q rows are the PQ rows of those blocks.
     """
-    v = vm * np.exp(1j * va)
-    ibus = ybus @ v
-    vn = v / np.abs(v)
-    ds_dva = 1j * v[:, None] * np.conj(np.diag(ibus) - ybus * v)
-    ds_dvm = v[:, None] * np.conj(ybus * vn) + np.diag(np.conj(ibus) * vn)
-    return np.vstack([
-        np.hstack([ds_dva[np.ix_(pvpq, pvpq)].real,
-                   ds_dvm[np.ix_(pvpq, pq)].real]),
-        np.hstack([ds_dva[np.ix_(pq, pvpq)].imag,
-                   ds_dvm[np.ix_(pq, pq)].imag]),
-    ])
+    pvpq, pq, pq_pos = system.pvpq, system.pq, system.pq_pos
+    npvpq, npq = len(pvpq), len(pq)
+    v_r = v[pvpq]
+    vn = v[pq] / np.abs(v[pq])
+    # Y (-v) is -(Y v) exactly, without a pass over the block to negate it.
+    ds_dva = system.y_va * -v_r
+    ds_dva.reshape(-1)[::npvpq + 1] += ibus[pvpq]
+    np.conj(ds_dva, out=ds_dva)
+    np.multiply((1j * v_r)[:, None], ds_dva, out=ds_dva)
+    ds_dvm = v_r[:, None] * np.conj(system.y_vm * vn)
+    ds_dvm[pq_pos, np.arange(npq)] += np.conj(ibus[pq]) * vn
+    jac = np.empty((npvpq + npq, npvpq + npq))
+    jac[:npvpq, :npvpq] = ds_dva.real
+    jac[:npvpq, npvpq:] = ds_dvm.real
+    jac[npvpq:, :npvpq] = ds_dva.imag[pq_pos]
+    jac[npvpq:, npvpq:] = ds_dvm.imag[pq_pos]
+    return jac
+
+
+def _finish(solver: str, vm, va, history: list[float], tol: float,
+            max_iter: int, ids: tuple[int, ...]) -> PowerFlowSolution:
+    """The solution after ``len(history) - 1`` iterations; raises
+    :class:`PowerFlowDivergedError` with it unless the last mismatch is
+    within ``tol``."""
+    worst = history[-1]
+    solution = PowerFlowSolution(vm=vm, va=va, converged=worst <= tol,
+                                 iterations=len(history) - 1,
+                                 max_mismatch=worst, ids=ids,
+                                 mismatch_history=tuple(history))
+    if not solution.converged:
+        raise PowerFlowDivergedError(
+            f"{solver} did not converge in {max_iter} iterations "
+            f"(max mismatch {worst:.3e} pu)", solution)
+    return solution
 
 
 def solve_newton(net: Network | NewtonSystem, tol: float = PF_TOLERANCE,
@@ -338,31 +384,22 @@ def solve_newton(net: Network | NewtonSystem, tol: float = PF_TOLERANCE,
     build it once with :func:`newton_system` and solve ``system.at(..)``.
     """
     system = net if isinstance(net, NewtonSystem) else newton_system(net)
-    ybus, pvpq, pq = system.ybus, system.pvpq, system.pq
+    pvpq, pq = system.pvpq, system.pq
     vm = system.vm0.copy()
     va = np.zeros(len(vm))
     npvpq = len(pvpq)
 
-    dp, dq = _power_mismatch(ybus, vm, va, system.p_sched, system.q_sched)
-    worst = _mismatch_norm(dp, dq, pvpq, pq)
-    iterations = 0
-    while worst > tol and iterations < max_iter:
-        rhs = np.concatenate([dp[pvpq], dq[pq]])
-        step = lu_solve(_jacobian(ybus, vm, va, pvpq, pq), rhs)
+    v, ibus, f = _mismatch(system, vm, va)
+    history = [_max_abs(f)]
+    while history[-1] > tol and len(history) <= max_iter:
+        step = lu_solve(_jacobian(system, v, ibus), f)
         va[pvpq] += step[:npvpq]
         vm[pq] += step[npvpq:]
-        iterations += 1
-        dp, dq = _power_mismatch(ybus, vm, va, system.p_sched, system.q_sched)
-        worst = _mismatch_norm(dp, dq, pvpq, pq)
+        v, ibus, f = _mismatch(system, vm, va)
+        history.append(_max_abs(f))
 
-    solution = PowerFlowSolution(vm=vm, va=va, converged=worst <= tol,
-                                 iterations=iterations, max_mismatch=worst,
-                                 ids=system.ids)
-    if not solution.converged:
-        raise PowerFlowDivergedError(
-            f"Newton power flow did not converge in {max_iter} iterations "
-            f"(max mismatch {worst:.3e} pu)", solution)
-    return solution
+    return _finish("Newton power flow", vm, va, history, tol, max_iter,
+                   system.ids)
 
 
 def solve_newton_system(system: NewtonSystem, setpoints=None,
@@ -384,46 +421,33 @@ def solve_fdlf(net: Network, tol: float = PF_TOLERANCE,
     Same start and convergence contract as :func:`solve_newton`; the two
     solvers agree to well below table precision on the bundled cases.
     """
-    part = partition_buses(net)
-    order = part.ext_to_int
-    ids = tuple(sorted(order))
-    ybus = _assemble_ybus(net)
-    p_sched, q_sched = _scheduled_injections(net, order)
-    vm, va = _start_state(net, order)
-
-    pvpq = np.array([i for i in range(len(ids)) if i != part.slack_idx], dtype=int)
-    pq = np.array(part.pq_idx, dtype=int)
+    system = newton_system(net)
+    pvpq, pq = system.pvpq, system.pq
+    vm = system.vm0.copy()
+    va = np.zeros(len(vm))
+    npvpq = len(pvpq)
 
     bp = build_bprime_full(net)[np.ix_(pvpq, pvpq)]
     bpp = build_bpp_full(net)[np.ix_(pq, pq)]
     bp_fac = lu_factor(bp)
     bpp_fac = lu_factor(bpp) if len(pq) else None
 
-    dp, dq = _power_mismatch(ybus, vm, va, p_sched, q_sched)
-    worst = _mismatch_norm(dp, dq, pvpq, pq)
-    iterations = 0
-    while worst > tol and iterations < max_iter:
+    _, _, f = _mismatch(system, vm, va)
+    history = [_max_abs(f)]
+    while history[-1] > tol and len(history) <= max_iter:
         # P half-iteration updates angles.
-        va[pvpq] += lu_solve_factored(bp_fac, dp[pvpq] / vm[pvpq])
-        dp, dq = _power_mismatch(ybus, vm, va, p_sched, q_sched)
-        worst = _mismatch_norm(dp, dq, pvpq, pq)
-        iterations += 1
-        if worst <= tol:
-            break
+        va[pvpq] += lu_solve_factored(bp_fac, f[:npvpq] / vm[pvpq])
+        _, _, f = _mismatch(system, vm, va)
+        worst = _max_abs(f)
         # Q half-iteration updates PQ magnitudes.
-        if bpp_fac is not None:
-            vm[pq] += lu_solve_factored(bpp_fac, dq[pq] / vm[pq])
-            dp, dq = _power_mismatch(ybus, vm, va, p_sched, q_sched)
-            worst = _mismatch_norm(dp, dq, pvpq, pq)
+        if worst > tol and bpp_fac is not None:
+            vm[pq] += lu_solve_factored(bpp_fac, f[npvpq:] / vm[pq])
+            _, _, f = _mismatch(system, vm, va)
+            worst = _max_abs(f)
+        history.append(worst)
 
-    solution = PowerFlowSolution(vm=vm, va=va, converged=worst <= tol,
-                                 iterations=iterations, max_mismatch=worst,
-                                 ids=ids)
-    if not solution.converged:
-        raise PowerFlowDivergedError(
-            f"fast-decoupled power flow did not converge in {max_iter} "
-            f"iterations (max mismatch {worst:.3e} pu)", solution)
-    return solution
+    return _finish("fast-decoupled power flow", vm, va, history, tol,
+                   max_iter, system.ids)
 
 
 def bus_mismatch(net: Network, vm, va):

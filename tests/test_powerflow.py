@@ -324,6 +324,27 @@ def dense_reference_jacobian(ybus, vm, va, pvpq, pq):
     ])
 
 
+def broadcast_reference_jacobian(ybus, vm, va, pvpq, pq):
+    """The broadcast Jacobian on the full Ybus, cut with ``ix_``, as the
+    kernel was before it read precomputed row blocks."""
+    v = vm * np.exp(1j * va)
+    ibus = ybus @ v
+    vn = v / np.abs(v)
+    ds_dva = 1j * v[:, None] * np.conj(np.diag(ibus) - ybus * v)
+    ds_dvm = v[:, None] * np.conj(ybus * vn) + np.diag(np.conj(ibus) * vn)
+    return np.vstack([
+        np.hstack([ds_dva[np.ix_(pvpq, pvpq)].real,
+                   ds_dvm[np.ix_(pvpq, pq)].real]),
+        np.hstack([ds_dva[np.ix_(pq, pvpq)].imag,
+                   ds_dvm[np.ix_(pq, pq)].imag]),
+    ])
+
+
+def kernel_jacobian(system, vm, va):
+    v = vm * np.exp(1j * va)
+    return powerflow._jacobian(system, v, system.ybus @ v)
+
+
 def with_setpoints(net, setpoints):
     """``net`` rebuilt with new slack/PV magnitudes, given by bus id."""
     buses = tuple(dataclasses.replace(b, v_setpoint=setpoints[b.id])
@@ -344,10 +365,61 @@ def test_broadcast_jacobian_matches_dense_products(all_cases, name):
     rng = np.random.default_rng(7)
     vm = sol.vm * rng.uniform(0.97, 1.03, sol.vm.size)
     va = sol.va + rng.uniform(-0.05, 0.05, sol.va.size)
-    got = powerflow._jacobian(system.ybus, vm, va, system.pvpq, system.pq)
+    got = kernel_jacobian(system, vm, va)
     want = dense_reference_jacobian(system.ybus, vm, va, system.pvpq, system.pq)
     assert got.shape == want.shape == (len(system.pvpq) + len(system.pq),) * 2
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["case9", "case14", "case30", "case14-disturbed"])
+def test_row_block_jacobian_equals_broadcast_reference(all_cases, name):
+    # same arithmetic in the same order, so equal to the last bit
+    net = all_cases[name.split("-")[0]]
+    if name.endswith("disturbed"):
+        net = netmodel.apply_disturbance(net, 10, -46.4)
+    system = newton_system(net)
+    sol = solve_newton_system(system)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        vm = sol.vm * rng.uniform(0.9, 1.1, sol.vm.size)
+        va = sol.va + rng.uniform(-0.2, 0.2, sol.va.size)
+        want = broadcast_reference_jacobian(system.ybus, vm, va,
+                                            system.pvpq, system.pq)
+        assert np.array_equal(kernel_jacobian(system, vm, va), want)
+
+
+def test_moved_system_shares_every_precomputed_array(case30):
+    system = newton_system(case30)
+    moved = system.at(system.vm0[system.pv] + 0.01)
+    arrays = [f.name for f in dataclasses.fields(system)
+              if isinstance(getattr(system, f.name), np.ndarray)]
+    assert {"y_va", "y_vm", "pq_pos", "vm0"} <= set(arrays)
+    for name in arrays:
+        shared = getattr(moved, name) is getattr(system, name)
+        assert shared is (name != "vm0"), name
+    assert moved.partition is system.partition
+
+
+def test_mismatch_history_records_every_iteration(case30):
+    for solver in (solve_newton, solve_fdlf):
+        sol = solver(case30)
+        history = sol.mismatch_history
+        assert len(history) == sol.iterations + 1
+        assert history[-1] == sol.max_mismatch
+    history = solve_newton(case30).mismatch_history
+    assert all(b < a for a, b in zip(history, history[1:]))
+
+
+def test_diverged_solution_carries_the_mismatch_growth(case9):
+    net = netmodel.apply_disturbance(netmodel.set_flat_setpoints(case9, 1.0),
+                                     9, 250.0)
+    with pytest.raises(PowerFlowDivergedError) as exc_info:
+        solve_newton(net)
+    partial = exc_info.value.solution
+    assert partial.iterations == powerflow.NEWTON_MAX_ITER
+    assert len(partial.mismatch_history) == powerflow.NEWTON_MAX_ITER + 1
+    assert partial.mismatch_history[-1] == partial.max_mismatch
+    assert partial.max_mismatch > 1e3 * partial.mismatch_history[0]
 
 
 @pytest.mark.parametrize("name", ["case9", "case14", "case30"])
@@ -375,8 +447,10 @@ def test_newton_system_is_read_only_and_checks_setpoints(case9):
     system = newton_system(case9)
     assert system.ids == tuple(range(1, 10))
     assert np.array_equal(system.ybus, build_ybus(case9).complex())
-    for arr in (system.ybus, system.vm0, system.pvpq, system.pq, system.pv):
-        assert not arr.flags.writeable
+    for field in dataclasses.fields(system):
+        arr = getattr(system, field.name)
+        if isinstance(arr, np.ndarray):
+            assert not arr.flags.writeable, field.name
     with pytest.raises(ValueError):
         solve_newton_system(system, np.ones(len(system.pv) + 1))
 
