@@ -95,10 +95,11 @@ def _load_network(path: str) -> Network:
 
 
 def _prepare(spec: RunSpec) -> Network:
+    """The case with the run's set-points and disturbances applied. It is
+    validated once, where the method partitions it
+    (:func:`~gridvolt.netmodel.partition_buses`), and an invalid network
+    exits 1 with the same ``invalid network: ...`` report."""
     net = _load_network(_resolve_case(spec.case_path))
-    problems = netmodel.validate_network(net)
-    if problems:
-        raise _InputError("invalid network: " + "; ".join(problems))
     if spec.flat_setpoints is not None:
         net = netmodel.set_flat_setpoints(net, spec.flat_setpoints)
     for bus, dq in spec.disturbances:

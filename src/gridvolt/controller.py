@@ -5,8 +5,10 @@ out-of-limit ("critical") bus closest to the reference voltage, form the
 rank-one weighted quadratic ``J = dV_pq^T M dV_pq`` selecting it, and move
 every generator set-point along the top left singular vector ``u1`` of
 ``N = A^T M A`` (A being the set-point-to-load-voltage control matrix).
-The step length makes the selected bus land on the reference in the
-linear model; set-points are clamped to the operating band afterwards.
+For the selector, N is ``a_k a_k^T`` and ``u1`` is the controlled bus's
+row ``a_k`` of A normalised, so no decomposition is needed. The step
+length makes the selected bus land on the reference in the linear
+model; set-points are clamped to the operating band afterwards.
 The loop repeats - re-solving the power flow, or propagating the linear
 model when configured - until no critical buses remain.
 
@@ -186,14 +188,19 @@ def select_controlled_bus(critical: list[tuple[int, float]],
                if abs(v - cfg.v_ref) - least <= SELECT_TIE_ATOL)
 
 
+def _pq_coord(cb: int, partition: BusPartition) -> int:
+    """Position of the controlled bus among the load buses."""
+    k = partition.ext_to_int.get(cb)
+    if k not in partition.pq_idx:
+        raise ControllerError(f"bus {cb} is not a load (PQ) bus")
+    return partition.pq_idx.index(k)
+
+
 def build_weight_matrix(cb: int, partition: BusPartition) -> np.ndarray:
     """Diagonal selector weight: 1 at the controlled bus's PQ coordinate."""
-    int_to_ext = partition.int_to_ext
-    pq_ids = [int_to_ext[i] for i in partition.pq_idx]
-    if cb not in pq_ids:
-        raise ControllerError(f"bus {cb} is not a load (PQ) bus")
-    m = np.zeros((len(pq_ids), len(pq_ids)))
-    k = pq_ids.index(cb)
+    n_pq = len(partition.pq_idx)
+    m = np.zeros((n_pq, n_pq))
+    k = _pq_coord(cb, partition)
     m[k, k] = 1.0
     return m
 
@@ -266,17 +273,25 @@ def ovc_step(model: SensitivityModel, sol: PowerFlowSolution, cb: int,
 
     The move direction is the top left singular vector of N = A^T M A
     (oriented to raise the controlled bus), scaled so the controlled bus
-    reaches the reference voltage in the linear model; for the selector
-    weights the algorithm builds, that scale is exactly
-    ``(v_ref - vm_cb) / sigma1``. Raises
+    reaches the reference voltage in the linear model. For the selector
+    weight the algorithm builds (``weight=None``, ``M = e_k e_k^T``), N is
+    ``a_k a_k^T`` with ``a_k`` the controlled bus's row of A, so its top
+    pair is ``sigma1 = ||a_k||`` and ``u1 = a_k / ||a_k||`` in closed form,
+    and the scale is exactly ``(v_ref - vm_cb) / sigma1``. An explicit
+    ``weight`` goes through :func:`build_n_matrix` and
+    :func:`~gridvolt.numerics.top_singular_pair`, which reject a weight
+    that leaves N asymmetric or not positive semi-definite. Raises
     :class:`UncontrollableBusError` when the bus has no usable gain.
     """
     if critical is None:
         critical = find_critical_buses(sol, cfg, model.partition)
-    m = build_weight_matrix(cb, model.partition) if weight is None else weight
-    n = build_n_matrix(model, m)
-    sigma1_sq, u1 = top_singular_pair(n)
-    sigma1 = float(np.sqrt(sigma1_sq))
+    if weight is None:
+        a_k = model.a_ctrl[_pq_coord(cb, model.partition)]
+        sigma1 = float(np.linalg.norm(a_k))
+        u1 = a_k / max(sigma1, SIGMA_FLOOR)
+    else:
+        sigma1_sq, u1 = top_singular_pair(build_n_matrix(model, weight))
+        sigma1 = float(np.sqrt(sigma1_sq))
     if sigma1 < SIGMA_FLOOR:
         raise UncontrollableBusError(
             f"bus {cb} cannot be moved by the voltage-controlled set "
@@ -391,8 +406,9 @@ def _run_loop(cfg: ControlConfig, method: str, step, system: NewtonSystem,
 
         record = replace(record, vm_after=vm.copy())
         records.append(record)
-        dv_ach = np.array([vm[i] - vm_before[i] for i in part.pq_idx])
-        j_total += performance_index(build_weight_matrix(cb, part), dv_ach)
+        # performance_index under the selector weight: the achieved dv_cb^2
+        dv_cb = vm[part.ext_to_int[cb]] - vm_before[part.ext_to_int[cb]]
+        j_total += float(dv_cb * dv_cb)
 
     # Exhausting the cap leaves the initial outcome in place; one more scan
     # decides between cap-hit and resolution on exactly the last iteration.

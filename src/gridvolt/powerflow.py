@@ -24,7 +24,6 @@ and the right-hand side; the Jacobian is assembled from the row blocks by
 broadcasting (MATPOWER's ``dSbus_dV``) straight into one real array, with
 no full-size complex derivative and no ``ix_`` cut. The fast-decoupled
 solver starts from the same system and mismatch vector.
-:func:`solve_newton_system` is ``solve_newton(system.at(setpoints))``.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ __all__ = [
     "build_bpp_full",
     "build_bprime_full",
     "newton_system",
-    "solve_newton_system",
     "solve_newton",
     "solve_fdlf",
     "bus_mismatch",
@@ -400,18 +398,6 @@ def solve_newton(net: Network | NewtonSystem, tol: float = PF_TOLERANCE,
 
     return _finish("Newton power flow", vm, va, history, tol, max_iter,
                    system.ids)
-
-
-def solve_newton_system(system: NewtonSystem, setpoints=None,
-                        tol: float = PF_TOLERANCE,
-                        max_iter: int = NEWTON_MAX_ITER) -> PowerFlowSolution:
-    """Newton-Raphson power flow of a prebuilt :class:`NewtonSystem`, at
-    ``setpoints`` (see :meth:`NewtonSystem.at`) if given; the same contract
-    and errors as :func:`solve_newton`.
-    """
-    if setpoints is not None:
-        system = system.at(setpoints)
-    return solve_newton(system, tol=tol, max_iter=max_iter)
 
 
 def solve_fdlf(net: Network, tol: float = PF_TOLERANCE,

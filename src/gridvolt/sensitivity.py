@@ -7,9 +7,15 @@ magnitude included, since its set-point is a control variable). Block
 partitioning by the voltage-controlled (slack + PV) and load (PQ) sets
 gives the control matrix ``A = S21 inv(S11)`` mapping set-point moves to
 load-voltage changes, and the disturbance gain ``D = S22 - S21 inv(S11)
-S12`` for uncontrolled reactive-demand changes. The model depends only on
-topology, impedances and shunts, so it is built once per network, not per
-operating point.
+S12`` for uncontrolled reactive-demand changes.
+
+Block elimination of ``B'' = [[B11, B12], [B21, B22]]`` (pv block first)
+gives both without the full inverse: ``A = -inv(B22) B21`` and
+``D = inv(B22)``, so one solve against the load block yields the whole
+control model. The blocks of ``S`` follow from the small Schur complement
+``C = B11 + B12 A``: ``S11 = inv(C)``, ``S21 = A S11``, ``S12 = S21^T``
+and ``S22 = D + S21 A^T``. The model depends only on topology, impedances
+and shunts, so it is built once per network, not per operating point.
 """
 
 from __future__ import annotations
@@ -19,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmodel import BusPartition, Network, partition_buses
-from .numerics import SingularMatrixError, invert, lu_factor, lu_solve_factored
+from .numerics import (
+    LU_PIVOT_RTOL,
+    SingularMatrixError,
+    lu_factor,
+    lu_solve,
+    lu_solve_factored,
+)
 from .powerflow import build_bpp_full
 
 __all__ = ["SensitivityModel", "build_bpp", "build_model", "predict_dvpq"]
@@ -30,8 +42,11 @@ class SensitivityModel:
     """B''-inverse sensitivity blocks for one network.
 
     ``s_vq`` spans the partition's pv+pq coordinates (pu V per pu Q on the
-    system base); ``a_ctrl`` is PQ x PV, ``d_gain`` PQ x PQ. ``pv_ids`` /
-    ``pq_ids`` give the external bus ids of the block coordinates.
+    system base), with blocks ``s11`` (PV x PV, ``inv(C)`` for the Schur
+    complement ``C = B11 + B12 a_ctrl``), ``s12``, ``s21`` and ``s22``.
+    ``a_ctrl = -inv(B22) B21`` is PQ x PV and ``d_gain = inv(B22)`` PQ x
+    PQ. ``pv_ids`` / ``pq_ids`` give the external bus ids of the block
+    coordinates.
     """
 
     s_vq: np.ndarray
@@ -75,38 +90,48 @@ def build_bpp(net: Network, partition: BusPartition) -> np.ndarray:
 
 
 def build_model(net: Network, partition: BusPartition | None = None) -> SensitivityModel:
-    """Invert B'' and extract the partitioned sensitivity blocks.
+    """Solve B'' by block elimination and assemble the sensitivity blocks.
 
-    Raises :class:`~gridvolt.numerics.SingularMatrixError` when B'' is
-    singular (degenerate network) or when the PV block of the inverse is
-    singular; the latter is reported with a condition estimate.
+    One solve against the load block ``B22`` gives ``a_ctrl`` and
+    ``d_gain``; the Schur complement ``C = B11 + B12 a_ctrl`` is factored
+    for ``s11``. Raises :class:`~gridvolt.numerics.SingularMatrixError`
+    when B22 is singular (equivalently, when the PV block ``S11`` of the
+    inverse is), reported with B22's 1-norm condition number, and when C
+    and hence B'' is singular (degenerate network).
     """
     if partition is None:
         partition = partition_buses(net)
     bpp = build_bpp(net, partition)
+    npv = len(partition.pv_idx)
+    b11, b12 = bpp[:npv, :npv], bpp[:npv, npv:]
+    b21, b22 = bpp[npv:, :npv], bpp[npv:, npv:]
+
+    # det S11 = det B22 / det B'': with B'' nonsingular, S11 is singular
+    # exactly when B22 is.
+    cond_floor = 1.0 / LU_PIVOT_RTOL
     try:
-        s_vq = invert(bpp)
+        x = lu_solve(b22, np.hstack([-b21, np.eye(len(b22))]))
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(
+            f"S11 block is singular (condition estimate >= {cond_floor:.3e})"
+        ) from exc
+    a_ctrl, d_gain = x[:, :npv], x[:, npv:]
+    cond = float(np.linalg.norm(b22, 1) * np.linalg.norm(d_gain, 1))
+    if cond >= cond_floor:
+        raise SingularMatrixError(
+            f"S11 block is singular (condition estimate >= {cond:.3e})")
+
+    try:
+        fac_c = lu_factor(b11 + b12 @ a_ctrl)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"B'' is singular ({exc}); isolated bus or degenerate network?"
         ) from exc
-
-    npv = len(partition.pv_idx)
-    s11 = s_vq[:npv, :npv]
-    s12 = s_vq[:npv, npv:]
-    s21 = s_vq[npv:, :npv]
-    s22 = s_vq[npv:, npv:]
-    try:
-        # a_ctrl = s21 @ inv(s11), via a transposed solve for accuracy; the
-        # hand-written LU reports the pivot the condition estimate needs.
-        a_ctrl = lu_solve_factored(lu_factor(s11.T), s21.T).T
-    except SingularMatrixError as exc:
-        norm = float(np.max(np.sum(np.abs(s11), axis=1))) if npv else 0.0
-        cond_est = norm / max(exc.pivot, np.finfo(float).tiny)
-        raise SingularMatrixError(
-            f"S11 block is singular (condition estimate >= {cond_est:.3e})"
-        ) from exc
-    d_gain = s22 - a_ctrl @ s12
+    s11 = lu_solve_factored(fac_c, np.eye(npv))
+    s21 = a_ctrl @ s11
+    s12 = s21.T
+    s22 = d_gain + s21 @ a_ctrl.T
+    s_vq = np.block([[s11, s12], [s21, s22]])
 
     int_to_ext = partition.int_to_ext
     return SensitivityModel(

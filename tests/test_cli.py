@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from gridvolt import caseio
+from gridvolt import caseio, netmodel
 from gridvolt.cli import DATA_DIR_ENV, RunSpec, main, run
 from gridvolt.controller import ControlConfig
 
@@ -219,6 +219,40 @@ def test_invalid_network_exits_1(tmp_path, capsys):
     code = main(["--case", str(bad), "--method", "solve"])
     assert code == 1
     assert "invalid network" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["solve", "ovc", "svc", "compare", "sens"])
+def test_invalid_network_report_is_the_same_for_every_method(
+        tmp_path, capsys, method):
+    bad = tmp_path / "bad.m"
+    bad.write_text(
+        "mpc.baseMVA = 100;\n"
+        "mpc.bus = [ 1 3 0 0 0 0 1 1 0 345 1 1.1 0.9;"
+        " 2 1 0 0 0 0 1 1 0 345 1 1.1 0.9; ];\n"
+        "mpc.gen = [ 1 0 0 300 -300 1 100 1 250 10; ];\n"
+        "mpc.branch = [ 1 9 0 0.1 0 250 250 250 0 0 1; ];\n")
+    assert main(["--case", str(bad), "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: invalid network: branch 0: to-bus 9 does "
+                            "not exist; network is not connected over "
+                            "in-service branches\n")
+
+
+@pytest.mark.parametrize("method", ["ovc", "svc", "compare", "solve", "sens"])
+def test_each_run_validates_the_network_once(monkeypatch, capsys, method):
+    calls = []
+    original = netmodel.validate_network
+
+    def counting(net):
+        calls.append(net)
+        return original(net)
+
+    monkeypatch.setattr(netmodel, "validate_network", counting)
+    code = main(["--case", "case30", "--disturb", "8:+90", "--method", method])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("module", ["gridvolt", "gridvolt.cli"])

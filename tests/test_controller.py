@@ -1,9 +1,10 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
-from gridvolt import netmodel, powerflow
+from gridvolt import netmodel, numerics, powerflow
 from gridvolt.controller import (
     ControlConfig,
     ControllerError,
@@ -411,6 +412,63 @@ def test_rank_one_sigma_equals_row_norm(scenarios):
         assert abs(record.sigma1 ** 2 - float(row @ row)) <= 1e-9
         u_expected = row / np.linalg.norm(row)
         assert np.max(np.abs(record.u1 - u_expected)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["case9", "case14", "case30"])
+def test_closed_form_direction_equals_top_singular_pair(all_cases, name):
+    net = all_cases[name]
+    model = build_model(net)
+    sol = powerflow.solve_newton(net)
+    for cb in model.pq_ids:
+        record = ovc_step(model, sol, cb, CFG, critical=[])
+        sigma_sq, u1 = numerics.top_singular_pair(build_n_matrix(
+            model, build_weight_matrix(cb, model.partition)))
+        if model.a_ctrl[model.pq_coord(cb)] @ u1 < 0:
+            u1 = -u1
+        assert abs(record.sigma1 - np.sqrt(sigma_sq)) <= 1e-12, cb
+        assert np.max(np.abs(record.u1 - u1)) <= 1e-12, cb
+
+
+def test_explicit_non_psd_weight_still_raises(scenario9):
+    model = build_model(scenario9)
+    sol = powerflow.solve_newton(scenario9)
+    with pytest.raises(ValueError, match="not PSD"):
+        ovc_step(model, sol, 9, CFG,
+                 weight=-build_weight_matrix(9, model.partition))
+
+
+def test_ovc_step_rejects_a_pv_bus(case9):
+    model = build_model(case9)
+    with pytest.raises(ControllerError, match="not a load"):
+        ovc_step(model, powerflow.solve_newton(case9), 2, CFG, critical=[])
+
+
+def test_ovc_run_uses_no_full_inverse_and_no_svd(case30, monkeypatch):
+    # the model is one B22 solve plus an n_pv x n_pv Schur factorization,
+    # and the selector direction is closed-form: reintroducing the full
+    # B'' inverse or an SVD on this path fails here
+    calls = {name: [] for name in ("svd", "invert", "lu_factor",
+                                   "lu_solve_factored")}
+    modules = [m for n, m in list(sys.modules.items())
+               if n == "gridvolt" or n.startswith("gridvolt.")]
+    for name, args in calls.items():
+        original = getattr(numerics, name)
+
+        def wrapper(first, *rest, _original=original, _args=args, **kwargs):
+            _args.append(np.shape(first))
+            return _original(first, *rest, **kwargs)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    net = netmodel.apply_disturbance(netmodel.set_flat_setpoints(case30, 1.0),
+                                     30, 20.0)
+    trace = ovc_run(net)
+    n_pv = len(trace.partition.pv_idx)
+    assert trace.iterations
+    assert calls["svd"] == [] and calls["invert"] == []
+    assert calls["lu_factor"]
+    assert all(shape == (n_pv, n_pv) for shape in calls["lu_factor"])
+    assert calls["lu_solve_factored"]
 
 
 # ------------------------------------------------------------------ compare

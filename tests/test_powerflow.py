@@ -17,7 +17,6 @@ from gridvolt.powerflow import (
     newton_system,
     solve_fdlf,
     solve_newton,
-    solve_newton_system,
 )
 
 from conftest import three_bus_toy, two_bus_toy, two_bus_voltage
@@ -360,7 +359,7 @@ def test_broadcast_jacobian_matches_dense_products(all_cases, name):
     if name == "case14":
         net = netmodel.apply_disturbance(net, 10, -46.4)
     system = newton_system(net)
-    sol = solve_newton_system(system)
+    sol = solve_newton(system)
     # a non-flat state away from the solution, so that no term vanishes
     rng = np.random.default_rng(7)
     vm = sol.vm * rng.uniform(0.97, 1.03, sol.vm.size)
@@ -378,7 +377,7 @@ def test_row_block_jacobian_equals_broadcast_reference(all_cases, name):
     if name.endswith("disturbed"):
         net = netmodel.apply_disturbance(net, 10, -46.4)
     system = newton_system(net)
-    sol = solve_newton_system(system)
+    sol = solve_newton(system)
     rng = np.random.default_rng(11)
     for _ in range(5):
         vm = sol.vm * rng.uniform(0.9, 1.1, sol.vm.size)
@@ -430,14 +429,14 @@ def test_system_solve_at_setpoints_matches_rebuilt_network(all_cases, name):
     stock = np.array([net.bus(b).v_setpoint for b in pv_ids])
     for k in range(3):
         setpoints = stock + 0.02 * np.sin(np.arange(stock.size) + k)
-        got = solve_newton_system(system, setpoints)
+        got = solve_newton(system.at(setpoints))
         want = solve_newton(with_setpoints(net, dict(zip(pv_ids, setpoints))))
         assert got.ids == want.ids
         assert got.iterations == want.iterations
         assert np.max(np.abs(got.vm - want.vm)) <= 1e-12
         assert np.max(np.abs(got.va - want.va)) <= 1e-12
     # the system is untouched by its solves
-    again = solve_newton_system(system)
+    again = solve_newton(system)
     first = solve_newton(net)
     assert np.array_equal(again.vm, first.vm)
     assert np.array_equal(again.va, first.va)
@@ -452,7 +451,7 @@ def test_newton_system_is_read_only_and_checks_setpoints(case9):
         if isinstance(arr, np.ndarray):
             assert not arr.flags.writeable, field.name
     with pytest.raises(ValueError):
-        solve_newton_system(system, np.ones(len(system.pv) + 1))
+        solve_newton(system.at(np.ones(len(system.pv) + 1)))
 
 
 @pytest.mark.parametrize("bad", [2.0, 2.5, 0.0, -0.03, np.nan, np.inf])
@@ -464,7 +463,7 @@ def test_setpoint_outside_range_fails_as_on_the_rebuilt_network(case9, bad):
     with pytest.raises(netmodel.NetworkError) as rebuilt:
         newton_system(with_setpoints(case9, dict(zip(pv_ids, setpoints))))
     for solve in (lambda: system.at(setpoints),
-                  lambda: solve_newton_system(system, setpoints)):
+                  lambda: solve_newton(system.at(setpoints))):
         with pytest.raises(netmodel.NetworkError) as got:
             solve()
         assert str(got.value) == str(rebuilt.value)
@@ -481,8 +480,8 @@ def test_solve_newton_on_a_system_skips_validation(case30, monkeypatch):
     assert calls == []
     assert sol.ids == system.ids
     assert np.array_equal(sol.vm[system.pv], moved.vm0[system.pv])
-    assert np.array_equal(sol.vm, solve_newton_system(
-        system, system.vm0[system.pv] + 0.01).vm)
+    assert np.array_equal(sol.vm, solve_newton(
+        system.at(system.vm0[system.pv] + 0.01)).vm)
 
 
 @pytest.mark.parametrize("name", ["case9", "case14", "case30"])

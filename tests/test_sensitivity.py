@@ -1,11 +1,25 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
 
-from gridvolt import controller, powerflow, sensitivity
-from gridvolt.netmodel import partition_buses
-from gridvolt.numerics import SingularMatrixError
+from gridvolt import controller, netmodel, powerflow, sensitivity
+from gridvolt.netmodel import (
+    Branch,
+    Bus,
+    BusKind,
+    Generator,
+    Network,
+    partition_buses,
+)
+from gridvolt.numerics import (
+    SingularMatrixError,
+    invert,
+    lu_factor,
+    lu_solve_factored,
+)
 from gridvolt.sensitivity import build_bpp, build_model, predict_dvpq
 
 from conftest import classic_partition_23, three_bus_toy, two_bus_toy
@@ -95,6 +109,74 @@ def test_schur_identity_dgain(all_cases):
         part = model.partition
         bpp_pq = powerflow.build_bpp_full(net)[np.ix_(part.pq_idx, part.pq_idx)]
         assert np.max(np.abs(model.d_gain - invert(bpp_pq))) <= 1e-9, name
+
+
+def invert_reference_model(net, partition):
+    """The sensitivity blocks as the full inverse of B'' gives them: S from
+    inverting B'', then ``a_ctrl = s21 inv(s11)`` (a transposed solve) and
+    ``d_gain = s22 - a_ctrl s12``."""
+    bpp = build_bpp(net, partition)
+    s_vq = invert(bpp)
+    npv = len(partition.pv_idx)
+    s11, s12 = s_vq[:npv, :npv], s_vq[:npv, npv:]
+    s21, s22 = s_vq[npv:, :npv], s_vq[npv:, npv:]
+    a_ctrl = lu_solve_factored(lu_factor(s11.T), s21.T).T
+    return {"s_vq": s_vq, "s11": s11, "s12": s12, "s21": s21, "s22": s22,
+            "a_ctrl": a_ctrl, "d_gain": s22 - a_ctrl @ s12}
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", ["case9", "case14", "case30", "case30-disturbed",
+                                  "toy-classic"])
+def test_block_model_matches_full_inverse(all_cases, name):
+    if name == "toy-classic":
+        net, part = three_bus_toy(), classic_partition_23()
+    else:
+        net = all_cases[name.split("-")[0]]
+        if name.endswith("disturbed"):
+            net = netmodel.apply_disturbance(
+                netmodel.set_flat_setpoints(net, 1.0), 30, 20.0)
+        part = partition_buses(net)
+    model = build_model(net, part)
+    want = invert_reference_model(net, part)
+    for field, ref in want.items():
+        got = getattr(model, field)
+        assert got.shape == ref.shape, field
+        assert rel_err(got, ref) <= 1e-12, field
+
+
+def shunted_feeder(b_shunt_3: float) -> Network:
+    """Slack 1 - load 2 - load 3 over two x = 0.1 lines, a capacitive shunt
+    at bus 3. B22 = [[20, -10], [-10, 10 - 2 b]] with b = b_shunt_3 / 100,
+    singular at 250 MVAr although the full B'' is not."""
+    return Network(
+        base_mva=100.0,
+        buses=(Bus(id=1, kind=BusKind.SLACK, v_setpoint=1.0),
+               Bus(id=2, kind=BusKind.PQ),
+               Bus(id=3, kind=BusKind.PQ, b_shunt=b_shunt_3)),
+        branches=(Branch(from_bus=1, to_bus=2, r=0.0, x=0.1),
+                  Branch(from_bus=2, to_bus=3, r=0.0, x=0.1)),
+        generators=(Generator(bus=1, p_gen=0.0, v_setpoint=1.0),),
+    )
+
+
+@pytest.mark.parametrize("b_shunt", [250.0, 250.0 + 1e-11])
+def test_singular_load_block_reported_as_singular_s11(b_shunt):
+    net = shunted_feeder(b_shunt)
+    part = partition_buses(net)
+    b22 = build_bpp(net, part)[1:, 1:]
+    assert abs(np.linalg.det(b22)) <= 1e-10 * np.linalg.norm(b22) ** 2
+    with pytest.raises(SingularMatrixError, match="S11 block is singular") as exc:
+        build_model(net, part)
+    estimate = float(re.search(r"condition estimate >= (\S+)\)",
+                               str(exc.value)).group(1))
+    assert math.isfinite(estimate) and estimate >= 1e12
+    # the full inverse exists; its (1 x 1) PV block is what vanishes
+    s_vq = invert(build_bpp(net, part))
+    assert abs(s_vq[0, 0]) <= 1e-10 * np.max(np.abs(s_vq))
 
 
 def test_singular_bpp_reported():
