@@ -439,6 +439,32 @@ class TraceRow:
     role: TraceRole
 
 
+def _trace_records(trace: "ControlTrace"):
+    """``(iteration, bus, voltage_pu, role)`` for every trace row, in
+    output order: the one classifier behind :func:`trace_rows` and
+    :func:`write_trace_csv`."""
+    int_to_ext = trace.partition.int_to_ext
+    pv_set = set(trace.partition.pv_idx)
+    v_min, v_max = trace.config.v_min, trace.config.v_max
+    buses = [(idx, int_to_ext[idx], idx in pv_set) for idx in sorted(int_to_ext)]
+    snapshots = [(0, trace.initial_solution.vm, None)]
+    snapshots += [(rec.index, rec.vm_after, rec.controlled_bus)
+                  for rec in trace.iterations]
+    for iteration, vm, controlled in snapshots:
+        vm = vm.tolist()
+        for idx, bus_id, is_pv in buses:
+            v = vm[idx]
+            if is_pv:
+                role = TraceRole.PV
+            elif bus_id == controlled:
+                role = TraceRole.CONTROLLED
+            elif not (v_min <= v <= v_max):
+                role = TraceRole.CRITICAL
+            else:
+                role = TraceRole.PQ
+            yield iteration, bus_id, v, role
+
+
 def trace_rows(trace: "ControlTrace") -> list[TraceRow]:
     """Flatten a control trace into one row per (iteration, bus).
 
@@ -447,41 +473,15 @@ def trace_rows(trace: "ControlTrace") -> list[TraceRow]:
     tagged ``controlled`` and any remaining out-of-limit load buses tagged
     ``critical``.
     """
-    part = trace.partition
-    cfg = trace.config
-    int_to_ext = part.int_to_ext
-    pv_set = set(part.pv_idx)
-
-    def snapshot(iteration: int, vm, controlled: int | None) -> list[TraceRow]:
-        rows = []
-        for idx in sorted(int_to_ext):
-            bus_id = int_to_ext[idx]
-            v = float(vm[idx])
-            if idx in pv_set:
-                role = TraceRole.PV
-            elif bus_id == controlled:
-                role = TraceRole.CONTROLLED
-            elif not (cfg.v_min <= v <= cfg.v_max):
-                role = TraceRole.CRITICAL
-            else:
-                role = TraceRole.PQ
-            rows.append(TraceRow(iteration, bus_id, v, role))
-        return rows
-
-    rows = snapshot(0, trace.initial_solution.vm, None)
-    for rec in trace.iterations:
-        rows.extend(snapshot(rec.index, rec.vm_after, rec.controlled_bus))
-    return rows
+    return [TraceRow(*record) for record in _trace_records(trace)]
 
 
 def write_trace_csv(trace: "ControlTrace") -> str:
     """Render a control trace as CSV (iterations ascending, buses ascending
-    within each iteration)."""
+    within each iteration), one line per :func:`trace_rows` row."""
     lines = ["iteration,bus,voltage_pu,role"]
-    for row in trace_rows(trace):
-        lines.append(
-            f"{row.iteration},{row.bus},{format(row.voltage_pu, '.10g')},{row.role.value}"
-        )
+    lines += [f"{iteration},{bus},{format(v, '.10g')},{role.value}"
+              for iteration, bus, v, role in _trace_records(trace)]
     return "\n".join(lines) + "\n"
 
 

@@ -353,9 +353,9 @@ def _run_loop(cfg: ControlConfig, method: str, step, system: NewtonSystem,
 
     Each power-flow re-solve runs Newton on the prebuilt ``system`` moved
     to the new set-points (:meth:`NewtonSystem.at`, which still rejects a
-    set-point outside (0, 2) pu), from the same flat start as the initial
-    solve; no network is rebuilt, validated or re-assembled inside the
-    loop.
+    set-point outside (0, 2) pu), starting from the previous solution: a
+    set-point move is small, so that state is a closer start than the flat
+    one. No network is rebuilt, validated or re-assembled inside the loop.
     """
     part = model.partition
     vm = initial.vm.copy()
@@ -393,7 +393,8 @@ def _run_loop(cfg: ControlConfig, method: str, step, system: NewtonSystem,
         setpoints = _current_setpoints(vm, model) + record.dv_pv
         vm_before = vm.copy()
         if cfg.evaluation_mode is EvaluationMode.POWER_FLOW:
-            sol = solve_newton(system.at(setpoints), tol=cfg.pf_tolerance)
+            sol = solve_newton(system.at(setpoints, start=sol),
+                               tol=cfg.pf_tolerance)
             vm = sol.vm.copy()
         else:
             vm = vm.copy()

@@ -16,14 +16,18 @@ validates and partitions it, assembles Ybus and the schedule, and cuts
 out the Ybus row blocks the Jacobian reads (the non-slack rows in the
 angle and the magnitude columns); :meth:`NewtonSystem.at` moves that
 system to other slack/PV set-points - which is all a control loop changes
-between re-solves - without rebuilding anything. :func:`solve_newton`
-iterates on a network or on such a system, so every Newton solve runs
-through it. Each iteration forms one voltage vector, one injection
-``Ybus v`` and one mismatch vector, which is both the convergence measure
-and the right-hand side; the Jacobian is assembled from the row blocks by
-broadcasting (MATPOWER's ``dSbus_dV``) straight into one real array, with
-no full-size complex derivative and no ``ix_`` cut. The fast-decoupled
-solver starts from the same system and mismatch vector.
+between re-solves - without rebuilding anything, and can start it from an
+earlier solution instead of the flat start. :func:`solve_newton` iterates
+on a network or on such a system, so every Newton solve runs through it.
+Each iteration forms one voltage vector, one injection ``Ybus v`` and one
+mismatch vector, which is both the convergence measure and the right-hand
+side; the Jacobian is assembled from the row blocks by broadcasting
+(MATPOWER's ``dSbus_dV``) straight into one real array, with no full-size
+complex derivative and no ``ix_`` cut. A backtracking line search on the
+largest mismatch keeps a step only if it does not raise that mismatch, so
+a solve that cannot converge stops with a bounded iterate instead of
+blowing up. The fast-decoupled solver starts from the same system and
+mismatch vector.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .numerics import lu_factor, lu_solve, lu_solve_factored
 __all__ = [
     "PF_TOLERANCE",
     "NEWTON_MAX_ITER",
+    "NEWTON_MAX_HALVINGS",
     "FDLF_MAX_ITER",
     "AdmittanceMatrix",
     "PowerFlowSolution",
@@ -66,6 +71,7 @@ __all__ = [
 
 PF_TOLERANCE = 1e-8
 NEWTON_MAX_ITER = 30
+NEWTON_MAX_HALVINGS = 12  # line search: shortest trial step is 2**-12 of Newton's
 FDLF_MAX_ITER = 60  # linear convergence rate needs more headroom
 
 
@@ -74,7 +80,9 @@ class PowerFlowError(RuntimeError):
 
 
 class PowerFlowDivergedError(PowerFlowError):
-    """Solver hit its iteration cap; ``solution`` holds the last iterate."""
+    """Solver stopped unconverged - at its iteration cap or, for Newton,
+    when no step length keeps the mismatch from rising; ``solution`` holds
+    the last accepted iterate."""
 
     def __init__(self, message: str, solution: "PowerFlowSolution"):
         super().__init__(message)
@@ -233,14 +241,17 @@ class NewtonSystem:
     """What Newton's iteration reads of one network, built once by
     :func:`newton_system`.
 
-    ``vm0`` is the flat start magnitude (slack/PV set-points, 1.0 pu at PQ
-    buses); ``pvpq`` indexes the non-slack buses, ``pq`` the load buses and
-    ``pv`` the slack and PV buses in ``partition.pv_idx`` order. The
+    ``vm0`` and ``va0`` are Newton's start: from :func:`newton_system` the
+    flat start (slack/PV set-points and 1.0 pu at PQ buses, zero angles),
+    from :meth:`at` with a ``start`` that solution's state. ``pvpq``
+    indexes the non-slack buses, ``pq`` the load buses and ``pv`` the
+    slack and PV buses in ``partition.pv_idx`` order. The
     Jacobian reads Ybus only in the rows of ``pvpq``: ``y_va`` holds them in
     the columns of ``pvpq`` (the angle columns), ``y_vm`` in the columns of
     ``pq`` (the magnitude columns), and ``pq_pos`` gives each PQ bus's
     position within ``pvpq``. The arrays are read-only: one system serves
-    any number of solves, and :meth:`at` shares all of them but ``vm0``.
+    any number of solves, and :meth:`at` shares all of them but ``vm0``
+    (and ``va0`` when it starts from a solution).
     """
 
     partition: BusPartition
@@ -248,6 +259,7 @@ class NewtonSystem:
     p_sched: np.ndarray
     q_sched: np.ndarray
     vm0: np.ndarray
+    va0: np.ndarray
     pvpq: np.ndarray
     pq: np.ndarray
     pv: np.ndarray
@@ -256,12 +268,19 @@ class NewtonSystem:
     pq_pos: np.ndarray
     ids: tuple[int, ...]
 
-    def at(self, setpoints) -> NewtonSystem:
+    def at(self, setpoints,
+           start: PowerFlowSolution | None = None) -> NewtonSystem:
         """This system with the slack and PV magnitudes replaced by
         ``setpoints`` (in ``partition.pv_idx`` order): the system of the
         network rebuilt with those set-points, without rebuilding it.
 
-        Raises ``ValueError`` for a wrong shape and ``NetworkError``, with
+        With ``start`` - a solution of this system, typically at nearby
+        set-points - Newton starts from its angles and load-bus magnitudes
+        instead of the flat start; the slack and PV magnitudes are still
+        exactly ``setpoints``.
+
+        Raises ``ValueError`` for a wrong shape or a ``start`` over other
+        buses, and ``NetworkError``, with
         :func:`~gridvolt.netmodel.validate_network`'s text, for a set-point
         that is not finite or lies outside (0, 2) pu.
         """
@@ -274,10 +293,16 @@ class NewtonSystem:
                     if (p := _setpoint_problem(self.ids[i], float(v))) is not None]
         if problems:
             raise NetworkError("invalid network: " + "; ".join(problems))
-        vm0 = self.vm0.copy()
+        if start is None:
+            vm0, va0 = self.vm0.copy(), self.va0
+        elif start.ids != self.ids:
+            raise ValueError("start solution is over other buses than the system")
+        else:
+            vm0, va0 = start.vm.copy(), start.va.copy()
+            va0.flags.writeable = False
         vm0[self.pv] = setpoints
         vm0.flags.writeable = False
-        return replace(self, vm0=vm0)
+        return replace(self, vm0=vm0, va0=va0)
 
 
 def newton_system(net: Network) -> NewtonSystem:
@@ -291,17 +316,19 @@ def newton_system(net: Network) -> NewtonSystem:
     ybus = _assemble_ybus(net)
     p_sched, q_sched = _scheduled_injections(net, order)
     vm0 = _start_magnitudes(net, order)
+    va0 = np.zeros(len(order))
     pvpq = np.array([i for i in range(len(order)) if i != part.slack_idx], dtype=int)
     pq = np.array(part.pq_idx, dtype=int)
     pv = np.array(part.pv_idx, dtype=int)
     y_va = ybus[np.ix_(pvpq, pvpq)]
     y_vm = ybus[np.ix_(pvpq, pq)]
     pq_pos = np.searchsorted(pvpq, pq)
-    for arr in (ybus, p_sched, q_sched, vm0, pvpq, pq, pv, y_va, y_vm, pq_pos):
+    for arr in (ybus, p_sched, q_sched, vm0, va0, pvpq, pq, pv, y_va, y_vm,
+                pq_pos):
         arr.flags.writeable = False
     return NewtonSystem(partition=part, ybus=ybus, p_sched=p_sched,
-                        q_sched=q_sched, vm0=vm0, pvpq=pvpq, pq=pq, pv=pv,
-                        y_va=y_va, y_vm=y_vm, pq_pos=pq_pos,
+                        q_sched=q_sched, vm0=vm0, va0=va0, pvpq=pvpq, pq=pq,
+                        pv=pv, y_va=y_va, y_vm=y_vm, pq_pos=pq_pos,
                         ids=tuple(sorted(order)))
 
 
@@ -351,7 +378,7 @@ def _jacobian(system: NewtonSystem, v, ibus) -> np.ndarray:
 
 
 def _finish(solver: str, vm, va, history: list[float], tol: float,
-            max_iter: int, ids: tuple[int, ...]) -> PowerFlowSolution:
+            ids: tuple[int, ...]) -> PowerFlowSolution:
     """The solution after ``len(history) - 1`` iterations; raises
     :class:`PowerFlowDivergedError` with it unless the last mismatch is
     within ``tol``."""
@@ -362,7 +389,7 @@ def _finish(solver: str, vm, va, history: list[float], tol: float,
                                  mismatch_history=tuple(history))
     if not solution.converged:
         raise PowerFlowDivergedError(
-            f"{solver} did not converge in {max_iter} iterations "
+            f"{solver} did not converge in {solution.iterations} iterations "
             f"(max mismatch {worst:.3e} pu)", solution)
     return solution
 
@@ -371,33 +398,51 @@ def solve_newton(net: Network | NewtonSystem, tol: float = PF_TOLERANCE,
                  max_iter: int = NEWTON_MAX_ITER) -> PowerFlowSolution:
     """Full Newton-Raphson power flow in polar coordinates.
 
-    Flat start from the set-points (slack/PV) and 1.0 pu (PQ) at zero
-    angle. On convergence the active mismatch at every non-slack bus and
-    the reactive mismatch at every PQ bus are below ``tol`` (pu on the
-    system base) and PV/slack magnitudes equal their set-points exactly.
-    Raises :class:`PowerFlowDivergedError` after ``max_iter`` iterations.
+    Starts from the system's ``vm0``/``va0``: for a network, the flat start
+    from the set-points (slack/PV) and 1.0 pu (PQ) at zero angle. On
+    convergence the active mismatch at every non-slack bus and the reactive
+    mismatch at every PQ bus are below ``tol`` (pu on the system base) and
+    PV/slack magnitudes equal their set-points exactly.
+
+    Each Newton step is damped by backtracking on the largest mismatch: the
+    full step is tried first, with the same arithmetic as an undamped
+    iteration, and halved (at most ``NEWTON_MAX_HALVINGS`` times) while it
+    would raise that mismatch, so ``mismatch_history`` never increases.
+    Raises :class:`PowerFlowDivergedError`, holding the last accepted
+    iterate, after ``max_iter`` iterations or as soon as no step length
+    keeps the mismatch from rising.
 
     ``net`` may also be a prebuilt :class:`NewtonSystem`, which skips
     validation and assembly: to solve one network at several set-points,
-    build it once with :func:`newton_system` and solve ``system.at(..)``.
+    build it once with :func:`newton_system` and solve ``system.at(..)``,
+    optionally from a nearby solution (``system.at(.., start=sol)``).
     """
     system = net if isinstance(net, NewtonSystem) else newton_system(net)
     pvpq, pq = system.pvpq, system.pq
     vm = system.vm0.copy()
-    va = np.zeros(len(vm))
+    va = system.va0.copy()
     npvpq = len(pvpq)
 
     v, ibus, f = _mismatch(system, vm, va)
     history = [_max_abs(f)]
     while history[-1] > tol and len(history) <= max_iter:
         step = lu_solve(_jacobian(system, v, ibus), f)
-        va[pvpq] += step[:npvpq]
-        vm[pq] += step[npvpq:]
-        v, ibus, f = _mismatch(system, vm, va)
-        history.append(_max_abs(f))
+        for _ in range(NEWTON_MAX_HALVINGS + 1):
+            va_try = va.copy()
+            vm_try = vm.copy()
+            va_try[pvpq] += step[:npvpq]
+            vm_try[pq] += step[npvpq:]
+            v_try, ibus_try, f_try = _mismatch(system, vm_try, va_try)
+            worst = _max_abs(f_try)
+            if worst <= history[-1]:  # False for NaN: halve on
+                break
+            step *= 0.5
+        else:
+            break  # no step length lowers the mismatch
+        va, vm, v, ibus, f = va_try, vm_try, v_try, ibus_try, f_try
+        history.append(worst)
 
-    return _finish("Newton power flow", vm, va, history, tol, max_iter,
-                   system.ids)
+    return _finish("Newton power flow", vm, va, history, tol, system.ids)
 
 
 def solve_fdlf(net: Network, tol: float = PF_TOLERANCE,
@@ -410,7 +455,7 @@ def solve_fdlf(net: Network, tol: float = PF_TOLERANCE,
     system = newton_system(net)
     pvpq, pq = system.pvpq, system.pq
     vm = system.vm0.copy()
-    va = np.zeros(len(vm))
+    va = system.va0.copy()
     npvpq = len(pvpq)
 
     bp = build_bprime_full(net)[np.ix_(pvpq, pvpq)]
@@ -433,7 +478,7 @@ def solve_fdlf(net: Network, tol: float = PF_TOLERANCE,
         history.append(worst)
 
     return _finish("fast-decoupled power flow", vm, va, history, tol,
-                   max_iter, system.ids)
+                   system.ids)
 
 
 def bus_mismatch(net: Network, vm, va):

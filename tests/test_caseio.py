@@ -269,6 +269,47 @@ def test_trace_csv_ordering(scenario30):
     assert keys == sorted(keys)
 
 
+def reference_trace_csv(trace):
+    """The per-row-object rendering: one ``TraceRow`` per (iteration, bus)."""
+    part, cfg = trace.partition, trace.config
+
+    def snapshot(iteration, vm, controlled):
+        for idx in sorted(part.int_to_ext):
+            bus_id = part.int_to_ext[idx]
+            v = float(vm[idx])
+            if idx in part.pv_idx:
+                role = caseio.TraceRole.PV
+            elif bus_id == controlled:
+                role = caseio.TraceRole.CONTROLLED
+            elif not (cfg.v_min <= v <= cfg.v_max):
+                role = caseio.TraceRole.CRITICAL
+            else:
+                role = caseio.TraceRole.PQ
+            yield caseio.TraceRow(iteration, bus_id, v, role)
+
+    rows = list(snapshot(0, trace.initial_solution.vm, None))
+    for rec in trace.iterations:
+        rows += snapshot(rec.index, rec.vm_after, rec.controlled_bus)
+    lines = ["iteration,bus,voltage_pu,role"]
+    lines += [f"{r.iteration},{r.bus},{format(r.voltage_pu, '.10g')},{r.role.value}"
+              for r in rows]
+    return rows, "\n".join(lines) + "\n"
+
+
+def test_trace_rendering_matches_the_row_object_reference(scenarios):
+    tight = controller.ControlConfig(v_min=0.97, v_max=1.03)
+    linear = controller.ControlConfig(
+        evaluation_mode=controller.EvaluationMode.LINEAR)
+    traces = [run(net, cfg) for net in scenarios.values()
+              for run in (controller.ovc_run, controller.svc_run)
+              for cfg in (None, tight, linear)]
+    assert any(len(t.iterations) > 2 for t in traces)
+    for trace in traces:
+        rows, csv = reference_trace_csv(trace)
+        assert caseio.trace_rows(trace) == rows
+        assert write_trace_csv(trace) == csv
+
+
 def test_bundled_case_path_rejects_unknown():
     with pytest.raises(FileNotFoundError):
         caseio.bundled_case_path("case57")

@@ -270,8 +270,8 @@ def test_python_dash_m_runs_cleanly(module):
 
 
 def test_heavy_disturbance_ends_as_divergence(capsys):
-    # Newton blows up on this disturbance (|J|_inf reaches ~1e8, against
-    # ~1e2 on a converging solve): the outcome is "did not converge"
+    # Newton cannot converge on this disturbance: its line search stops
+    # with a bounded mismatch, and the outcome is "did not converge"
     # (exit 2), not a singular-Jacobian input error.
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -551,6 +551,37 @@ def test_ovc_run_builds_newton_system_once(scenario30, monkeypatch):
                      "validate_network": 1}
 
 
+def test_loop_re_solves_start_warm(scenario30, monkeypatch):
+    # the stress-case30-tight-band run: every re-solve starts from the
+    # previous solution and takes fewer Newton iterations in total than
+    # the same re-solves from the flat start, to the same voltages
+    import gridvolt.controller as controller
+
+    solves = []
+
+    def recording(system, **kwargs):
+        sol = powerflow.solve_newton(system, **kwargs)
+        solves.append((system, sol))
+        return sol
+
+    monkeypatch.setattr(controller, "solve_newton", recording)
+    trace = ovc_run(scenario30, ControlConfig(v_min=0.97, v_max=1.03))
+    (base, initial), *re_solves = solves
+    assert len(re_solves) == len(trace.iterations) > 2
+    assert trace.initial_solution is initial
+    warm = flat = 0
+    previous = initial
+    for system, sol in re_solves:
+        assert np.array_equal(system.va0, previous.va)
+        setpoints = system.vm0[system.pv]
+        from_flat = powerflow.solve_newton(base.at(setpoints))
+        assert np.max(np.abs(sol.vm - from_flat.vm)) <= 1e-9
+        warm += sol.iterations
+        flat += from_flat.iterations
+        previous = sol
+    assert (warm, flat) == (11, 24)
+
+
 def test_unclamped_step_outside_setpoint_range_is_an_invalid_network(case30):
     # without clamping, one single-generator step takes bus 13 below 0 pu;
     # the re-solve rejects it exactly as validating the rebuilt network did

@@ -170,7 +170,9 @@ def test_newton_divergence_raises_with_partial():
         solve_newton(net, max_iter=8)
     partial = exc_info.value.solution
     assert partial.converged is False
-    assert partial.iterations == 8
+    assert partial.iterations <= 8
+    history = partial.mismatch_history
+    assert all(b <= a for a, b in zip(history, history[1:]))
 
 
 def test_fdlf_divergence_raises():
@@ -409,16 +411,108 @@ def test_mismatch_history_records_every_iteration(case30):
     assert all(b < a for a, b in zip(history, history[1:]))
 
 
-def test_diverged_solution_carries_the_mismatch_growth(case9):
+def test_line_search_ends_the_blowup_repro_bounded(case9):
+    # with full steps only, this solve grew its mismatch from 2.8 to 4e10 pu
+    # over 30 iterations; the line search stops once no step length helps
     net = netmodel.apply_disturbance(netmodel.set_flat_setpoints(case9, 1.0),
                                      9, 250.0)
     with pytest.raises(PowerFlowDivergedError) as exc_info:
         solve_newton(net)
     partial = exc_info.value.solution
-    assert partial.iterations == powerflow.NEWTON_MAX_ITER
-    assert len(partial.mismatch_history) == powerflow.NEWTON_MAX_ITER + 1
-    assert partial.mismatch_history[-1] == partial.max_mismatch
-    assert partial.max_mismatch > 1e3 * partial.mismatch_history[0]
+    history = partial.mismatch_history
+    assert len(history) == partial.iterations + 1
+    assert history[-1] == partial.max_mismatch
+    assert all(b <= a for a, b in zip(history, history[1:]))
+    assert partial.iterations < powerflow.NEWTON_MAX_ITER
+    assert f"did not converge in {partial.iterations} iterations" in str(exc_info.value)
+
+
+def plain_newton(system):
+    """Reference: Newton with full steps only, from the system's start."""
+    vm, va = system.vm0.copy(), system.va0.copy()
+    npvpq = len(system.pvpq)
+    v, ibus, f = powerflow._mismatch(system, vm, va)
+    history = [powerflow._max_abs(f)]
+    while (history[-1] > powerflow.PF_TOLERANCE
+           and len(history) <= powerflow.NEWTON_MAX_ITER):
+        step = powerflow.lu_solve(powerflow._jacobian(system, v, ibus), f)
+        va[system.pvpq] += step[:npvpq]
+        vm[system.pq] += step[npvpq:]
+        v, ibus, f = powerflow._mismatch(system, vm, va)
+        history.append(powerflow._max_abs(f))
+    return vm, va, history
+
+
+@pytest.mark.parametrize("name", ["case9", "case14", "case30"])
+def test_full_steps_are_taken_exactly_when_the_mismatch_falls(all_cases, name):
+    # every solve whose full-step mismatch never grows keeps its iterates to
+    # the last bit
+    base = all_cases[name]
+    pq = [b.id for b in base.buses if b.kind is BusKind.PQ]
+    for bus, mvar in [(pq[0], 0.0), (pq[-1], 60.0), (pq[len(pq) // 2], -90.0)]:
+        system = newton_system(netmodel.apply_disturbance(base, bus, mvar))
+        vm, va, history = plain_newton(system)
+        assert all(b < a for a, b in zip(history, history[1:]))
+        sol = solve_newton(system)
+        assert sol.mismatch_history == tuple(history)
+        assert np.array_equal(sol.vm, vm)
+        assert np.array_equal(sol.va, va)
+
+
+# The bundled solves whose first full Newton step raises max|f| (by at most
+# 2x), with their iteration counts under full steps only.
+FIRST_STEP_UP = [(26, -150.0, 5), (26, -200.0, 5), (26, -260.0, 6), (30, -260.0, 5)]
+
+
+@pytest.mark.parametrize("flat", [False, True])
+@pytest.mark.parametrize("bus,mvar,full_step_iterations", FIRST_STEP_UP)
+def test_line_search_converges_in_no_more_iterations(case30, flat, bus, mvar,
+                                                     full_step_iterations):
+    net = netmodel.set_flat_setpoints(case30, 1.0) if flat else case30
+    system = newton_system(netmodel.apply_disturbance(net, bus, mvar))
+    _, _, full = plain_newton(system)
+    assert full[1] > full[0]
+    assert len(full) - 1 == full_step_iterations
+    sol = solve_newton(system)
+    assert sol.converged
+    assert sol.iterations <= full_step_iterations
+    history = sol.mismatch_history
+    assert all(b <= a for a, b in zip(history, history[1:]))
+    assert max_nonslack_mismatch(netmodel.apply_disturbance(net, bus, mvar),
+                                 sol) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["case9", "case14", "case30"])
+def test_warm_start_matches_flat_start_in_no_more_iterations(all_cases, name):
+    system = newton_system(all_cases[name])
+    start = solve_newton(system)
+    stock = system.vm0[system.pv]
+    for k in range(3):
+        setpoints = stock + 0.02 * np.sin(np.arange(stock.size) + k)
+        flat = solve_newton(system.at(setpoints))
+        warm = solve_newton(system.at(setpoints, start=start))
+        assert warm.iterations <= flat.iterations
+        assert np.max(np.abs(warm.vm - flat.vm)) <= 1e-9
+        assert np.max(np.abs(warm.va - flat.va)) <= 1e-9
+        assert np.array_equal(warm.vm[system.pv], setpoints)
+
+
+def test_warm_started_system_starts_from_the_solution(case14):
+    system = newton_system(case14)
+    start = solve_newton(system)
+    setpoints = system.vm0[system.pv] + 0.01
+    warm = system.at(setpoints, start=start)
+    assert np.array_equal(warm.va0, start.va)
+    assert np.array_equal(warm.vm0[system.pq], start.vm[system.pq])
+    assert np.array_equal(warm.vm0[system.pv], setpoints)
+    assert not warm.va0.flags.writeable and not warm.vm0.flags.writeable
+    assert warm.va0 is not start.va and warm.vm0 is not start.vm
+    assert not np.any(system.va0)
+    other = solve_newton(newton_system(three_bus_toy(q_load_mvar=20.0)))
+    with pytest.raises(ValueError, match="other buses"):
+        system.at(setpoints, start=other)
+    with pytest.raises(netmodel.NetworkError):
+        system.at(np.full(setpoints.shape, 2.5), start=start)
 
 
 @pytest.mark.parametrize("name", ["case9", "case14", "case30"])
