@@ -230,14 +230,13 @@ def _clamp_setpoints(setpoints: np.ndarray, dv_raw: np.ndarray,
     return dv, clamped
 
 
-def _directional_step(model: SensitivityModel, vm, cb: int,
+def _directional_step(model: SensitivityModel, vm, cb: int, k: int,
                       cfg: ControlConfig, u1: np.ndarray, sigma1: float,
                       setpoints: np.ndarray, index: int,
                       critical: list[tuple[int, float]]) -> IterationRecord:
     """Shared tail of the two step constructors: orient the direction,
-    size the move so the controlled bus lands on the reference (linear
-    model), clamp, and record."""
-    k = model.pq_coord(cb)
+    size the move so the controlled bus (PQ coordinate ``k``) lands on the
+    reference (linear model), clamp, and record."""
     predicted_at_cb = float(model.a_ctrl[k] @ u1)
     if predicted_at_cb < 0:
         u1 = -u1
@@ -285,8 +284,9 @@ def ovc_step(model: SensitivityModel, sol: PowerFlowSolution, cb: int,
     """
     if critical is None:
         critical = find_critical_buses(sol, cfg, model.partition)
+    k = _pq_coord(cb, model.partition)
     if weight is None:
-        a_k = model.a_ctrl[_pq_coord(cb, model.partition)]
+        a_k = model.a_ctrl[k]
         sigma1 = float(np.linalg.norm(a_k))
         u1 = a_k / max(sigma1, SIGMA_FLOOR)
     else:
@@ -297,8 +297,8 @@ def ovc_step(model: SensitivityModel, sol: PowerFlowSolution, cb: int,
             f"bus {cb} cannot be moved by the voltage-controlled set "
             f"(sigma1 {sigma1:.3e})")
     setpoints = _current_setpoints(sol.vm, model)
-    return _directional_step(model, sol.vm, cb, cfg, u1, sigma1, setpoints,
-                             index, critical)
+    return _directional_step(model, sol.vm, cb, k, cfg, u1, sigma1,
+                             setpoints, index, critical)
 
 
 def svc_step(model: SensitivityModel, sol: PowerFlowSolution, cb: int,
@@ -308,7 +308,7 @@ def svc_step(model: SensitivityModel, sol: PowerFlowSolution, cb: int,
     controlled bus is most sensitive."""
     if critical is None:
         critical = find_critical_buses(sol, cfg, model.partition)
-    k = model.pq_coord(cb)
+    k = _pq_coord(cb, model.partition)
     row = model.a_ctrl[k]
     j_star = int(np.argmax(np.abs(row)))
     gain = float(row[j_star])
@@ -318,8 +318,8 @@ def svc_step(model: SensitivityModel, sol: PowerFlowSolution, cb: int,
     u1 = np.zeros(model.n_pv)
     u1[j_star] = 1.0 if gain > 0 else -1.0
     setpoints = _current_setpoints(sol.vm, model)
-    return _directional_step(model, sol.vm, cb, cfg, u1, abs(gain), setpoints,
-                             index, critical)
+    return _directional_step(model, sol.vm, cb, k, cfg, u1, abs(gain),
+                             setpoints, index, critical)
 
 
 def performance_index(m, dv_pq_achieved) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 __all__ = [
     "BusKind",
@@ -138,7 +139,7 @@ class BusPartition:
         if set(self.pv_idx) & set(self.pq_idx):
             raise NetworkError("pv and pq index sets overlap")
 
-    @property
+    @cached_property
     def int_to_ext(self) -> dict[int, int]:
         return {i: e for e, i in self.ext_to_int.items()}
 

@@ -1,33 +1,31 @@
 """Bus admittance assembly and AC power-flow solvers.
 
-Two solvers share one convergence contract (per-unit power mismatch at
-every non-slack bus below tolerance): full Newton-Raphson in polar form,
-and the fast-decoupled iteration with constant B' / B'' matrices (BX
-variant: B' from the series branches with charging, shunts and taps
-removed; B'' the negated imaginary part of Ybus with series resistance
-and phase shifts removed, shunts and charging kept). B'' doubles as the
-reactive sensitivity matrix of the control model, keeping solver and
-controller consistent. :func:`bus_mismatch` recomputes residuals from
-first principles, branch by branch, as an independent audit of either
-solver.
+Ybus, B' and B'' are assembled as MATPOWER's ``makeYbus`` does: one walk
+of the network collects its in-service branches as arrays, and each matrix
+is one scatter of per-branch terms. Two solvers share one convergence
+contract (per-unit power mismatch at every non-slack bus below tolerance):
+full Newton-Raphson in polar form, and the fast-decoupled iteration with
+constant B' / B'' matrices (BX variant: B' from the series impedances
+alone; B'' from the reactances with charging and shunts kept; neither has
+taps or phase shifts). B'' doubles as the reactive sensitivity matrix of
+the control model, keeping solver and controller consistent.
+:func:`bus_mismatch` recomputes residuals from first principles, branch by
+branch in scalar arithmetic, as an independent audit of either solver.
 
 Newton's set-up is built once per network: :func:`newton_system`
 validates and partitions it, assembles Ybus and the schedule, and cuts
 out the Ybus row blocks the Jacobian reads (the non-slack rows in the
 angle and the magnitude columns); :meth:`NewtonSystem.at` moves that
-system to other slack/PV set-points - which is all a control loop changes
-between re-solves - without rebuilding anything, and can start it from an
-earlier solution instead of the flat start. :func:`solve_newton` iterates
-on a network or on such a system, so every Newton solve runs through it.
-Each iteration forms one voltage vector, one injection ``Ybus v`` and one
-mismatch vector, which is both the convergence measure and the right-hand
-side; the Jacobian is assembled from the row blocks by broadcasting
-(MATPOWER's ``dSbus_dV``) straight into one real array, with no full-size
-complex derivative and no ``ix_`` cut. A backtracking line search on the
-largest mismatch keeps a step only if it does not raise that mismatch, so
-a solve that cannot converge stops with a bounded iterate instead of
-blowing up. The fast-decoupled solver starts from the same system and
-mismatch vector.
+system to other slack/PV set-points - all a control loop changes between
+re-solves - and can start it from an earlier solution instead of the flat
+start. :func:`solve_newton` iterates on a network or on such a system, so
+every Newton solve runs through it. Each iteration forms one voltage
+vector, one injection ``Ybus v`` and one mismatch vector (the convergence
+measure and the right-hand side); the Jacobian is broadcast from the row
+blocks (MATPOWER's ``dSbus_dV``) into one real array. A backtracking line
+search keeps a step only if it does not raise the largest mismatch, so a
+solve that cannot converge stops with a bounded iterate instead of blowing
+up. The fast-decoupled solver starts from the same system.
 """
 
 from __future__ import annotations
@@ -98,10 +96,6 @@ class AdmittanceMatrix:
     b: np.ndarray
     ids: tuple[int, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
     def complex(self) -> np.ndarray:
         return self.g + 1j * self.b
 
@@ -133,91 +127,114 @@ class PowerFlowSolution:
         return float(self.va[self.index_of(bus_id)])
 
 
-def _branch_admittances(br: Branch, *, ignore_r: bool, ignore_charging: bool,
-                        unit_tap: bool, zero_shift: bool):
-    """Two-port admittance terms (yff, yft, ytf, ytt) of one pi branch."""
-    r = 0.0 if ignore_r else br.r
-    if r == 0.0 and br.x == 0.0:
-        raise PowerFlowError(
-            f"branch {br.from_bus}-{br.to_bus} has zero impedance"
-        )
-    ys = 1.0 / complex(r, br.x)
-    bc = 0.0 if ignore_charging else br.b_charging
-    tap = 1.0 if unit_tap else br.tap
-    shift = 0.0 if zero_shift else math.radians(br.shift)
-    t = tap * cmath.exp(1j * shift)
-    yff = (ys + 0.5j * bc) / (tap * tap)
-    ytt = ys + 0.5j * bc
-    yft = -ys / t.conjugate()
-    ytf = -ys / t
-    return yff, yft, ytf, ytt
+def _branch_admittances(br: Branch):
+    """Two-port terms (yff, yft, ytf, ytt) of one pi branch in scalar
+    complex arithmetic: :func:`bus_mismatch`'s own branch model."""
+    ys = 1.0 / complex(br.r, br.x)
+    t = br.tap * cmath.exp(1j * math.radians(br.shift))
+    ytt = ys + 0.5j * br.b_charging
+    return ytt / (br.tap * br.tap), -ys / t.conjugate(), -ys / t, ytt
 
 
-def _assemble_ybus(net: Network, *, ignore_r=False, ignore_charging=False,
-                   ignore_shunts=False, unit_tap=False,
-                   zero_shift=False) -> np.ndarray:
-    order = bus_order(net)
-    n = len(order)
-    y = np.zeros((n, n), dtype=complex)
-    for br in net.branches:
-        if not br.in_service:
-            continue
-        f = order[br.from_bus]
-        t = order[br.to_bus]
-        yff, yft, ytf, ytt = _branch_admittances(
-            br, ignore_r=ignore_r, ignore_charging=ignore_charging,
-            unit_tap=unit_tap, zero_shift=zero_shift)
-        y[f, f] += yff
-        y[f, t] += yft
-        y[t, f] += ytf
-        y[t, t] += ytt
-    if not ignore_shunts:
-        for bus in net.buses:
-            i = order[bus.id]
-            y[i, i] += complex(bus.g_shunt, bus.b_shunt) / net.base_mva
-    return y
+class _Branches:
+    """A network's in-service branches as arrays in branch-list order (from
+    and to index ``f``/``t``, ``r``, ``x``, total charging ``b_c``, ``tap``,
+    ``shift`` in radians) and its bus shunts ``g_sh + j b_sh`` in pu, over
+    the internal index ``order``; Ybus, B' and B'' are each one scatter."""
+
+    def __init__(self, net: Network, order: dict[int, int]):
+        self.live = tuple(br for br in net.branches if br.in_service)
+        cols = np.array([(order[br.from_bus], order[br.to_bus], br.r, br.x,
+                          br.b_charging, br.tap, br.shift) for br in self.live],
+                        dtype=float).reshape(-1, 7).T
+        self.f, self.t = cols[:2].astype(int)
+        self.r, self.x, self.b_c, self.tap = cols[2:6]
+        self.shift = np.radians(cols[6])
+        self.n = len(order)
+        idx = [order[bus.id] for bus in net.buses]
+        self.g_sh, self.b_sh = np.zeros((2, self.n))
+        self.g_sh[idx] = [bus.g_shunt / net.base_mva for bus in net.buses]
+        self.b_sh[idx] = [bus.b_shunt / net.base_mva for bus in net.buses]
+
+    def _reject(self, zero: np.ndarray) -> None:
+        """Raise for the first branch flagged in ``zero``."""
+        if zero.any():
+            br = self.live[int(np.argmax(zero))]
+            raise PowerFlowError(
+                f"branch {br.from_bus}-{br.to_bus} has zero impedance")
+
+    def _scatter(self, yff, yft, ytf, ytt) -> np.ndarray:
+        """Bus matrix summing each branch's terms into its (f, f), (f, t),
+        (t, f) and (t, t) entries: one ``np.add.at`` over the interleaved
+        entries, which adds in branch order as a loop over branches does."""
+        rows = np.stack([self.f, self.f, self.t, self.t], axis=1).ravel()
+        cols = np.stack([self.f, self.t, self.f, self.t], axis=1).ravel()
+        terms = np.stack([yff, yft, ytf, ytt], axis=1).ravel()
+        m = np.zeros((self.n, self.n), dtype=terms.dtype)
+        np.add.at(m, (rows, cols), terms)
+        return m
+
+    def ybus(self) -> np.ndarray:
+        self._reject((self.r == 0.0) & (self.x == 0.0))
+        ys = 1.0 / (self.r + 1j * self.x)
+        t = self.tap * np.exp(1j * self.shift)
+        ytt = ys + 0.5j * self.b_c
+        y = self._scatter(ytt / (self.tap * self.tap), -ys / t.conj(),
+                          -ys / t, ytt)
+        y.flat[::self.n + 1] += self.g_sh + 1j * self.b_sh
+        return y
+
+    def bprime(self) -> np.ndarray:
+        self._reject((self.r == 0.0) & (self.x == 0.0))
+        w = -(1.0 / (self.r + 1j * self.x)).imag
+        return self._scatter(w, -w, -w, w)
+
+    def bpp(self) -> np.ndarray:
+        self._reject(self.x == 0.0)
+        w = 1.0 / self.x
+        bpp = self._scatter(w - self.b_c, -w, -w, w - self.b_c)
+        bpp.flat[::self.n + 1] -= 2.0 * self.b_sh
+        return bpp
 
 
 def build_ybus(net: Network) -> AdmittanceMatrix:
-    """Standard pi-model bus admittance matrix.
+    """Standard pi-model bus admittance matrix (MATPOWER ``makeYbus``).
 
     Series admittance 1/(r + jx), from-side scaled by the off-nominal tap
     with phase shift, half the line charging plus any bus shunt on the
     diagonals. Raises on an in-service zero-impedance branch.
     """
-    y = _assemble_ybus(net)
-    ids = tuple(sorted(b.id for b in net.buses))
-    return AdmittanceMatrix(g=y.real.copy(), b=y.imag.copy(), ids=ids)
+    order = bus_order(net)
+    y = _Branches(net, order).ybus()
+    return AdmittanceMatrix(g=y.real.copy(), b=y.imag.copy(),
+                            ids=tuple(sorted(order)))
 
 
 def build_bpp_full(net: Network) -> np.ndarray:
     """Full-network B'' matrix: the reactive Jacobian dQ/dV at a flat
-    voltage profile under decoupling assumptions.
+    voltage profile under decoupling assumptions, over all buses.
 
-    Series resistance, phase shifts and off-nominal taps are dropped;
-    shunts and line charging are kept. At V = 1, theta = 0 the exact
+    Keeps reactance, line charging and bus shunts; drops series resistance,
+    off-nominal taps and phase shifts. At V = 1, theta = 0 the exact
     derivative is -B_ij off the diagonal and -2 B_ii - sum_{j!=i} B_ij on
-    it (the quadratic V^2 shunt terms differentiate to twice their
-    admittance entries), with B = Im(Ybus) of that reduced network. This
-    is the matrix behind the fast-decoupled reactive iteration and the
-    Q-V sensitivity model, over all buses in internal order.
+    it (the V^2 shunt terms differentiate to twice their admittance), with
+    B = Im(Ybus) of that reduced network: the Laplacian of 1/x less, on
+    the diagonal, the charging of every branch at the bus and twice its
+    shunt susceptance. Raises on an in-service branch with x = 0.
     """
-    b = _assemble_ybus(net, ignore_r=True, unit_tap=True, zero_shift=True).imag
-    return -(b + np.diag(b.sum(axis=1)))
+    return _Branches(net, bus_order(net)).bpp()
 
 
 def build_bprime_full(net: Network) -> np.ndarray:
-    """Full-network B' matrix for the active fast-decoupled iteration:
-    series branches only (charging, shunts, taps, shifts removed)."""
-    return -_assemble_ybus(net, ignore_charging=True,
-                           ignore_shunts=True, unit_tap=True,
-                           zero_shift=True).imag
+    """Full-network B' matrix for the active fast-decoupled iteration: the
+    Laplacian of the series susceptances -Im(1/(r + jx)). Keeps series
+    resistance and reactance; drops line charging, bus shunts, off-nominal
+    taps and phase shifts. Raises on an in-service zero-impedance branch."""
+    return _Branches(net, bus_order(net)).bprime()
 
 
 def _scheduled_injections(net: Network, order: dict[int, int]):
-    n = len(order)
-    p = np.zeros(n)
-    q = np.zeros(n)
+    p, q = np.zeros((2, len(order)))
     for bus in net.buses:
         i = order[bus.id]
         p[i] -= bus.p_load / net.base_mva
@@ -313,7 +330,7 @@ def newton_system(net: Network) -> NewtonSystem:
     """
     part = partition_buses(net)
     order = part.ext_to_int
-    ybus = _assemble_ybus(net)
+    ybus = _Branches(net, order).ybus()
     p_sched, q_sched = _scheduled_injections(net, order)
     vm0 = _start_magnitudes(net, order)
     va0 = np.zeros(len(order))
@@ -419,8 +436,7 @@ def solve_newton(net: Network | NewtonSystem, tol: float = PF_TOLERANCE,
     """
     system = net if isinstance(net, NewtonSystem) else newton_system(net)
     pvpq, pq = system.pvpq, system.pq
-    vm = system.vm0.copy()
-    va = system.va0.copy()
+    vm, va = system.vm0.copy(), system.va0.copy()
     npvpq = len(pvpq)
 
     v, ibus, f = _mismatch(system, vm, va)
@@ -447,19 +463,19 @@ def solve_newton(net: Network | NewtonSystem, tol: float = PF_TOLERANCE,
 
 def solve_fdlf(net: Network, tol: float = PF_TOLERANCE,
                max_iter: int = FDLF_MAX_ITER) -> PowerFlowSolution:
-    """Fast-decoupled power flow (XB scheme, constant matrices).
+    """Fast-decoupled power flow (BX scheme, constant matrices).
 
     Same start and convergence contract as :func:`solve_newton`; the two
     solvers agree to well below table precision on the bundled cases.
     """
     system = newton_system(net)
     pvpq, pq = system.pvpq, system.pq
-    vm = system.vm0.copy()
-    va = system.va0.copy()
+    vm, va = system.vm0.copy(), system.va0.copy()
     npvpq = len(pvpq)
 
-    bp = build_bprime_full(net)[np.ix_(pvpq, pvpq)]
-    bpp = build_bpp_full(net)[np.ix_(pq, pq)]
+    branches = _Branches(net, system.partition.ext_to_int)
+    bp = branches.bprime()[np.ix_(pvpq, pvpq)]
+    bpp = branches.bpp()[np.ix_(pq, pq)]
     bp_fac = lu_factor(bp)
     bpp_fac = lu_factor(bpp) if len(pq) else None
 
@@ -496,36 +512,18 @@ def bus_mismatch(net: Network, vm, va):
     if vm.shape != (len(order),) or va.shape != (len(order),):
         raise ValueError("vm/va length must equal the bus count")
 
-    volt = {bus.id: vm[order[bus.id]] * cmath.exp(1j * va[order[bus.id]])
-            for bus in net.buses}
-    p_inj = {bus.id: 0.0 for bus in net.buses}
-    q_inj = {bus.id: 0.0 for bus in net.buses}
-
+    volt = [m * cmath.exp(1j * a) for m, a in zip(vm.tolist(), va.tolist())]
+    s_inj = [0j] * len(order)
     for br in net.branches:
-        if not br.in_service:
-            continue
-        yff, yft, ytf, ytt = _branch_admittances(
-            br, ignore_r=False, ignore_charging=False, unit_tap=False,
-            zero_shift=False)
-        vf = volt[br.from_bus]
-        vt = volt[br.to_bus]
-        sf = vf * (yff * vf + yft * vt).conjugate()
-        st = vt * (ytf * vf + ytt * vt).conjugate()
-        p_inj[br.from_bus] += sf.real
-        q_inj[br.from_bus] += sf.imag
-        p_inj[br.to_bus] += st.real
-        q_inj[br.to_bus] += st.imag
-
-    for bus in net.buses:
-        v2 = abs(volt[bus.id]) ** 2
-        p_inj[bus.id] += v2 * bus.g_shunt / net.base_mva
-        q_inj[bus.id] -= v2 * bus.b_shunt / net.base_mva
-
-    p_sched, q_sched = _scheduled_injections(net, order)
-    dp = np.zeros(len(order))
-    dq = np.zeros(len(order))
+        if br.in_service:
+            f, t = order[br.from_bus], order[br.to_bus]
+            yff, yft, ytf, ytt = _branch_admittances(br)
+            s_inj[f] += volt[f] * (yff * volt[f] + yft * volt[t]).conjugate()
+            s_inj[t] += volt[t] * (ytf * volt[f] + ytt * volt[t]).conjugate()
     for bus in net.buses:
         i = order[bus.id]
-        dp[i] = p_sched[i] - p_inj[bus.id]
-        dq[i] = q_sched[i] - q_inj[bus.id]
-    return dp, dq
+        s_inj[i] += (abs(volt[i]) ** 2 * complex(bus.g_shunt, -bus.b_shunt)
+                     / net.base_mva)
+    s_inj = np.array(s_inj)
+    p_sched, q_sched = _scheduled_injections(net, order)
+    return p_sched - s_inj.real, q_sched - s_inj.imag

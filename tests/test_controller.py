@@ -443,6 +443,20 @@ def test_ovc_step_rejects_a_pv_bus(case9):
         ovc_step(model, powerflow.solve_newton(case9), 2, CFG, critical=[])
 
 
+def test_both_steps_reject_a_pv_bus_alike(case9):
+    model = build_model(case9)
+    sol = powerflow.solve_newton(case9)
+    weight = build_weight_matrix(9, model.partition)
+    steps = {"ovc": lambda: ovc_step(model, sol, 2, CFG, critical=[]),
+             "ovc weighted": lambda: ovc_step(model, sol, 2, CFG, weight=weight,
+                                              critical=[]),
+             "svc": lambda: svc_step(model, sol, 2, CFG, critical=[])}
+    for name, step in steps.items():
+        with pytest.raises(ControllerError) as err:
+            step()
+        assert str(err.value) == "bus 2 is not a load (PQ) bus", name
+
+
 def test_ovc_run_uses_no_full_inverse_and_no_svd(case30, monkeypatch):
     # the model is one B22 solve plus an n_pv x n_pv Schur factorization,
     # and the selector direction is closed-form: reintroducing the full

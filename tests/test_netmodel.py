@@ -85,6 +85,13 @@ def test_partition_case9(case9):
     assert int_to_ext[part.slack_idx] == 1
 
 
+def test_int_to_ext_is_built_once_and_inverts_ext_to_int(case30):
+    part = partition_buses(case30)
+    assert part.int_to_ext is part.int_to_ext
+    assert {e: i for i, e in part.int_to_ext.items()} == part.ext_to_int
+    assert sorted(part.int_to_ext) == list(range(case30.n_bus))
+
+
 def test_partition_case14(case14):
     part = partition_buses(case14)
     int_to_ext = part.int_to_ext

@@ -1,5 +1,7 @@
+import cmath
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +113,132 @@ def test_bprime_ignores_charging_and_shunts():
     net = dataclasses.replace(net, branches=branches)
     assert np.allclose(build_bprime_full(net), [[10.0, -10.0], [-10.0, 10.0]],
                        atol=1e-12)
+
+
+# --------------------------------------------- assembly vs the branch loop
+# The reference is the branch-by-branch loop the array assembly replaced:
+# flags pick which pi-model terms enter, B' and B'' are read off Im(Ybus)
+# of the reduced network.
+
+
+def loop_assembly(net, *, ignore_r=False, ignore_charging=False,
+                  ignore_shunts=False, unit_tap=False, zero_shift=False):
+    order = netmodel.bus_order(net)
+    y = np.zeros((len(order), len(order)), dtype=complex)
+    for br in net.branches:
+        if not br.in_service:
+            continue
+        r = 0.0 if ignore_r else br.r
+        if r == 0.0 and br.x == 0.0:
+            raise PowerFlowError("zero impedance")
+        ys = 1.0 / complex(r, br.x)
+        bc = 0.0 if ignore_charging else br.b_charging
+        tap = 1.0 if unit_tap else br.tap
+        shift = 0.0 if zero_shift else math.radians(br.shift)
+        t = tap * cmath.exp(1j * shift)
+        f, k = order[br.from_bus], order[br.to_bus]
+        y[f, f] += (ys + 0.5j * bc) / (tap * tap)
+        y[f, k] += -ys / t.conjugate()
+        y[k, f] += -ys / t
+        y[k, k] += ys + 0.5j * bc
+    if not ignore_shunts:
+        for bus in net.buses:
+            i = order[bus.id]
+            y[i, i] += complex(bus.g_shunt, bus.b_shunt) / net.base_mva
+    return y
+
+
+def loop_bprime(net):
+    return -loop_assembly(net, ignore_charging=True, ignore_shunts=True,
+                          unit_tap=True, zero_shift=True).imag
+
+
+def loop_bpp(net):
+    b = loop_assembly(net, ignore_r=True, unit_tap=True, zero_shift=True).imag
+    return -(b + np.diag(b.sum(axis=1)))
+
+
+def assert_matches_the_loop(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def crafted_network():
+    """Six buses with what the bundled cases lack: a phase shifter, an
+    off-nominal tap, series resistance, a parallel pair and an
+    out-of-service branch, plus line charging and bus shunts."""
+    return netmodel.Network(
+        base_mva=100.0,
+        buses=(
+            Bus(id=1, kind=BusKind.SLACK, v_setpoint=1.04),
+            Bus(id=2, kind=BusKind.PV, v_setpoint=1.02, p_load=20.0),
+            Bus(id=4, kind=BusKind.PQ, p_load=40.0, q_load=15.0,
+                b_shunt=8.0),
+            Bus(id=5, kind=BusKind.PQ, p_load=30.0, q_load=10.0,
+                g_shunt=2.0),
+            Bus(id=7, kind=BusKind.PQ, p_load=25.0, q_load=12.0),
+            Bus(id=9, kind=BusKind.PQ, p_load=15.0, q_load=5.0),
+        ),
+        branches=(
+            Branch(1, 2, r=0.02, x=0.06, b_charging=0.03),
+            Branch(1, 4, r=0.05, x=0.19, b_charging=0.02),
+            Branch(2, 4, r=0.0, x=0.2, tap=0.97),
+            Branch(4, 5, r=0.01, x=0.12, tap=1.02, shift=-4.0),
+            Branch(5, 7, r=0.03, x=0.15, b_charging=0.01),
+            Branch(5, 7, r=0.04, x=0.18, b_charging=0.01),
+            Branch(2, 9, r=0.06, x=0.17, b_charging=0.02),
+            Branch(7, 9, r=0.08, x=0.24, in_service=False),
+            Branch(9, 7, r=0.02, x=0.1, tap=1.05, shift=3.0),
+        ),
+        generators=(
+            Generator(bus=1, p_gen=0.0, v_setpoint=1.04),
+            Generator(bus=2, p_gen=60.0, v_setpoint=1.02),
+        ),
+    )
+
+
+def assert_matrices_match_the_loop(net):
+    assert_matches_the_loop(build_ybus(net).complex(), loop_assembly(net))
+    assert_matches_the_loop(build_bprime_full(net), loop_bprime(net))
+    assert_matches_the_loop(build_bpp_full(net), loop_bpp(net))
+
+
+@pytest.mark.parametrize("name", ["case9", "case14", "case30"])
+def test_assembly_matches_the_branch_loop_on_bundled_cases(all_cases, name):
+    assert_matrices_match_the_loop(all_cases[name])
+
+
+def test_assembly_matches_the_branch_loop_on_the_crafted_network():
+    net = crafted_network()
+    assert_matrices_match_the_loop(net)
+    y = build_ybus(net).complex()
+    # the 4-5 phase shifter makes Ybus asymmetric; B' and B'' drop shifts
+    assert abs(y[2, 3] - y[3, 2]) > 1e-3
+    assert np.array_equal(build_bprime_full(net), build_bprime_full(net).T)
+    assert np.array_equal(build_bpp_full(net), build_bpp_full(net).T)
+    # the out-of-service branch contributes nothing
+    dropped = dataclasses.replace(
+        net, branches=net.branches[:7] + net.branches[8:])
+    assert np.array_equal(build_ybus(dropped).complex(), y)
+
+
+def test_reactance_free_branch_is_rejected_by_bpp_only():
+    base = crafted_network()
+    net = dataclasses.replace(
+        base, branches=base.branches + (Branch(4, 9, r=0.05, x=0.0),))
+    with pytest.raises(PowerFlowError, match="branch 4-9 has zero impedance"):
+        build_bpp_full(net)
+    assert_matches_the_loop(build_ybus(net).complex(), loop_assembly(net))
+    assert_matches_the_loop(build_bprime_full(net), loop_bprime(net))
+
+
+def test_newton_and_fdlf_solve_the_crafted_network():
+    net = crafted_network()
+    sol = solve_newton(net)
+    assert sol.converged
+    assert max_nonslack_mismatch(net, sol) <= 10 * powerflow.PF_TOLERANCE
+    fdlf = solve_fdlf(net)
+    assert max_nonslack_mismatch(net, fdlf) <= 10 * powerflow.PF_TOLERANCE
+    assert np.max(np.abs(fdlf.vm - sol.vm)) <= 1e-7
 
 
 # ------------------------------------------------------------------- solvers
