@@ -1,8 +1,10 @@
+import hashlib
 import logging
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridvolt import caseio, controller, netmodel, powerflow
@@ -107,7 +109,16 @@ def test_non_numeric_cell_reported_with_position():
     text = TWO_BUS_CASE.replace("mpc.baseMVA = 100;", "mpc.baseMVA = abc;")
     with pytest.raises(CaseFormatError, match="non-numeric") as exc_info:
         parse_matpower_case(text)
-    assert exc_info.value.line == 3
+    assert (exc_info.value.line, exc_info.value.col) == (3, 15)
+    # a cell after the opening bracket, then one on a continuation row
+    text = TWO_BUS_CASE.replace("mpc.gen = [\n", "mpc.gen = [ 1 2 ; 3 q\n")
+    with pytest.raises(CaseFormatError, match="'q'") as exc_info:
+        parse_matpower_case(text)
+    assert (exc_info.value.line, exc_info.value.col) == (8, 21)
+    text = TWO_BUS_CASE.replace("\t1\t0\t0\t300", "\t1\t0\t0;\t3x0")
+    with pytest.raises(CaseFormatError, match="'3x0'") as exc_info:
+        parse_matpower_case(text)
+    assert (exc_info.value.line, exc_info.value.col) == (9, 9)
 
 
 def test_extra_columns_parse_identically(case9):
@@ -167,6 +178,149 @@ def test_parser_never_panics_on_case_like_fragments(parts):
         pass
 
 
+# The line scanner as it was before it became one tokenising loop: the
+# reference the current scanner must match, result for result and error for
+# error (message, line and column).
+
+_REF_ASSIGN_RE = re.compile(r"\s*(\w+)\.(\w+)\s*=\s*(.*)$")
+_REF_NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
+def _ref_parse_number(token, line, col):
+    if not _REF_NUMBER_RE.match(token):
+        raise CaseFormatError(f"non-numeric cell {token!r}", line, col)
+    return float(token)
+
+
+class _MatrixCollector:
+    def __init__(self, field, line):
+        self.field = field
+        self.start_line = line
+        self.rows = []
+        self._current = []
+
+    def feed(self, chunk, line, offset):
+        close = chunk.find("]")
+        self._consume_values(chunk if close < 0 else chunk[:close],
+                             line, offset)
+        self._end_row()
+        return close >= 0
+
+    def _consume_values(self, segment, line, col0):
+        pos = 0
+        for part in segment.split(";"):
+            for m in re.finditer(r"[^\s,]+", part):
+                self._current.append(
+                    _ref_parse_number(m.group(0), line, col0 + pos + m.start()))
+            pos += len(part) + 1
+            if pos <= len(segment):
+                self._end_row()
+
+    def _end_row(self):
+        if self._current:
+            self.rows.append(self._current)
+            self._current = []
+
+
+def _reference_scan(text):
+    scalars, matrices, skipped = {}, {}, []
+    collector = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        cut = raw.find("%")
+        line = raw if cut < 0 else raw[:cut]
+        if collector is not None:
+            if collector.feed(line, lineno, 1):
+                matrices[collector.field] = collector.rows
+                collector = None
+            continue
+        if not line.strip():
+            continue
+        if re.match(r"\s*function\b", line):
+            continue
+        m = _REF_ASSIGN_RE.match(line)
+        if m is None:
+            col = len(line) - len(line.lstrip()) + 1
+            raise CaseFormatError(f"unrecognized statement {line.strip()!r}",
+                                  lineno, col)
+        field, rhs = m.group(2), m.group(3).strip()
+        if rhs.startswith("["):
+            lead = len(m.group(3)) - len(m.group(3).lstrip())
+            collector = _MatrixCollector(field, lineno)
+            if collector.feed(rhs[1:], lineno, m.start(3) + lead + 2):
+                matrices[field] = collector.rows
+                collector = None
+        elif rhs.startswith("'") or rhs.startswith('"'):
+            skipped.append(field)
+        else:
+            value = rhs.rstrip(";").strip()
+            scalars[field] = _ref_parse_number(value, lineno, m.start(3) + 1)
+    if collector is not None:
+        raise CaseFormatError(
+            f"matrix mpc.{collector.field} not closed with ']'",
+            collector.start_line, 1)
+    known = {"baseMVA", "bus", "gen", "branch"}
+    for field in list(scalars) + list(matrices) + skipped:
+        if field not in known:
+            scalars.pop(field, None)
+            matrices.pop(field, None)
+    return scalars, matrices
+
+
+def _scan_outcome(scan, text):
+    try:
+        return scan(text)
+    except CaseFormatError as exc:
+        return str(exc), exc.line, exc.col
+
+
+def _assert_scans_like_the_reference(text):
+    assert (_scan_outcome(caseio._scan_matpower, text)
+            == _scan_outcome(_reference_scan, text)), text
+
+
+_BUNDLED_TEXT = {}
+for _name in ("case9", "case14", "case30"):
+    with open(caseio.bundled_case_path(_name), encoding="utf-8") as _fh:
+        _BUNDLED_TEXT[_name] = _fh.read()
+
+_EDIT_CHARS = list(";],[% x") + ["\n", "\t"] + list(".e-0")
+
+
+@st.composite
+def _edited_bundled_case(draw):
+    """A bundled case with one to three single-character edits."""
+    text = _BUNDLED_TEXT[draw(st.sampled_from(sorted(_BUNDLED_TEXT)))]
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(text) - 1))
+        ch = draw(st.sampled_from(_EDIT_CHARS))
+        op = draw(st.sampled_from(("insert", "replace", "delete")))
+        if op == "insert":
+            text = text[:pos] + ch + text[pos:]
+        elif op == "replace":
+            text = text[:pos] + ch + text[pos + 1:]
+        else:
+            text = text[:pos] + text[pos + 1:]
+    return text
+
+
+def test_scanner_matches_the_reference_on_bundled_cases():
+    for text in _BUNDLED_TEXT.values():
+        _assert_scans_like_the_reference(text)
+    _assert_scans_like_the_reference(TWO_BUS_CASE)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=60))
+def test_scanner_matches_the_reference_on_fragments(parts):
+    _assert_scans_like_the_reference("".join(parts))
+
+
+@settings(max_examples=300)
+@given(_edited_bundled_case())
+def test_scanner_matches_the_reference_on_edited_cases(text):
+    _assert_scans_like_the_reference(text)
+
+
 @given(st.text(max_size=200))
 def test_json_parser_never_panics(text):
     try:
@@ -186,6 +340,37 @@ def test_json_roundtrip_shipped_cases(all_cases):
 
 def test_json_write_is_deterministic(case9):
     assert write_json_case(case9) == write_json_case(case9)
+
+
+TWO_BUS_JSON = """\
+{
+  "base_mva": 100,
+  "buses": [
+    {"id": 1, "kind": "slack", "p_load_mw": 0, "q_load_mvar": 0, "g_shunt_mw": 0, "b_shunt_mvar": 0, "v_setpoint_pu": 1, "v_min_pu": 0.90000000000000002, "v_max_pu": 1.1000000000000001},
+    {"id": 2, "kind": "pq", "p_load_mw": 0, "q_load_mvar": 10, "g_shunt_mw": 0, "b_shunt_mvar": 0, "v_setpoint_pu": 1, "v_min_pu": 0.90000000000000002, "v_max_pu": 1.1000000000000001}
+  ],
+  "branches": [
+    {"from": 1, "to": 2, "r_pu": 0, "x_pu": 0.10000000000000001, "b_charging_pu": 0, "tap": 1, "shift_deg": 0, "in_service": true}
+  ],
+  "generators": [
+    {"bus": 1, "p_gen_mw": 0, "v_setpoint_pu": 1, "in_service": true}
+  ]
+}
+"""
+
+# (bytes, sha256) of write_json_case on each bundled case
+JSON_PINS = {
+    "case9": (3312, "005f3e478491c406dcf72d6cfcc8954deeaf192b5bda1cce19e41a1ffad45ec1"),
+    "case14": (6460, "2c478900d6948e2704a81500d5cc56ef157eda2cb20fd01adaa8568b1086276d"),
+    "case30": (12037, "821e0362201246a3f7330a05d81af24b91689e0dfc455acdc9bab372a7bd2fe2"),
+}
+
+
+def test_json_writer_output_is_pinned(all_cases):
+    assert write_json_case(parse_matpower_case(TWO_BUS_CASE)) == TWO_BUS_JSON
+    for name, net in all_cases.items():
+        data = write_json_case(net).encode("utf-8")
+        assert (len(data), hashlib.sha256(data).hexdigest()) == JSON_PINS[name], name
 
 
 def test_parse_write_parse_idempotent(all_cases):
