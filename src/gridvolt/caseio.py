@@ -105,6 +105,7 @@ class SchemaError(ValueError):
 
 _ASSIGN_RE = re.compile(r"\s*(\w+)\.(\w+)\s*=\s*(.*)$")
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+_CELL_RE = re.compile(r";|[^\s,;]+")  # a matrix cell or a row-ending ';'
 
 
 def _parse_number(token: str, line: int, col: int) -> float:
@@ -113,85 +114,58 @@ def _parse_number(token: str, line: int, col: int) -> float:
     return float(token)
 
 
-class _MatrixCollector:
-    """Accumulates the rows of one bracketed numeric matrix."""
-
-    def __init__(self, field: str, line: int):
-        self.field = field
-        self.start_line = line
-        self.rows: list[list[float]] = []
-        self._current: list[float] = []
-
-    def feed(self, chunk: str, line: int, offset: int) -> bool:
-        """Consume matrix text (no opening bracket); True when ``]`` seen.
-
-        ``offset`` is the column of the chunk start, for diagnostics.
-        """
-        close = chunk.find("]")
-        self._consume_values(chunk if close < 0 else chunk[:close],
-                             line, offset)
-        self._end_row()  # a newline or the closing bracket ends the row
-        return close >= 0
-
-    def _consume_values(self, segment: str, line: int, col0: int) -> None:
-        pos = 0
-        for part in segment.split(";"):
-            for m in re.finditer(r"[^\s,]+", part):
-                self._current.append(
-                    _parse_number(m.group(0), line, col0 + pos + m.start())
-                )
-            pos += len(part) + 1
-            if pos <= len(segment):  # a ';' was present: close the row
-                self._end_row()
-
-    def _end_row(self) -> None:
-        if self._current:
-            self.rows.append(self._current)
-            self._current = []
-
-
 def _scan_matpower(text: str) -> tuple[dict[str, float], dict[str, list[list[float]]]]:
+    """Scalars and numeric matrices of a MATPOWER-style case text.
+
+    A matrix body is tokenised into cells and ``;``; a row ends at ``;`` or
+    at the end of a line, and ``]`` closes the matrix (the rest of that line
+    is ignored).
+    """
     scalars: dict[str, float] = {}
     matrices: dict[str, list[list[float]]] = {}
     skipped: list[str] = []
-    collector: _MatrixCollector | None = None
+    rows: list[list[float]] | None = None  # the open matrix, opened on line `opened`
+    field, opened = "", 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        cut = raw.find("%")
-        line = raw if cut < 0 else raw[:cut]
-        if collector is not None:
-            if collector.feed(line, lineno, 1):
-                matrices[collector.field] = collector.rows
-                collector = None
-            continue
-        if not line.strip():
-            continue
-        if re.match(r"\s*function\b", line):
-            continue
-        m = _ASSIGN_RE.match(line)
-        if m is None:
-            col = len(line) - len(line.lstrip()) + 1
-            raise CaseFormatError(f"unrecognized statement {line.strip()!r}",
-                                  lineno, col)
-        field, rhs = m.group(2), m.group(3).strip()
-        if rhs.startswith("["):
-            lead = len(m.group(3)) - len(m.group(3).lstrip())
-            content_col = m.start(3) + lead + 2  # 1-based, after the '['
-            collector = _MatrixCollector(field, lineno)
-            if collector.feed(rhs[1:], lineno, content_col):
-                matrices[field] = collector.rows
-                collector = None
-        elif rhs.startswith("'") or rhs.startswith('"'):
-            skipped.append(field)
-        else:
-            value = rhs.rstrip(";").strip()
-            scalars[field] = _parse_number(value, lineno, m.start(3) + 1)
+        line = raw.split("%", 1)[0]
+        col0 = 1  # 1-based column of line[0]
+        if rows is None:
+            if not line.strip() or re.match(r"\s*function\b", line):
+                continue
+            m = _ASSIGN_RE.match(line)
+            if m is None:
+                col = len(line) - len(line.lstrip()) + 1
+                raise CaseFormatError(f"unrecognized statement {line.strip()!r}",
+                                      lineno, col)
+            field, rhs = m.group(2), m.group(3).strip()
+            if rhs.startswith("'") or rhs.startswith('"'):
+                skipped.append(field)
+                continue
+            if not rhs.startswith("["):
+                scalars[field] = _parse_number(rhs.rstrip(";").strip(), lineno,
+                                               m.start(3) + 1)
+                continue
+            bracket = line.index("[", m.start(3))
+            line, col0 = line[bracket + 1:], bracket + 2
+            rows, opened = [], lineno
+        body, closed, _ = line.partition("]")
+        row: list[float] = []
+        for cell in _CELL_RE.finditer(body):
+            token = cell.group()
+            if token != ";":
+                row.append(_parse_number(token, lineno, col0 + cell.start()))
+            elif row:
+                rows.append(row)
+                row = []
+        if row:
+            rows.append(row)
+        if closed:
+            matrices[field] = rows
+            rows = None
 
-    if collector is not None:
-        raise CaseFormatError(
-            f"matrix mpc.{collector.field} not closed with ']'",
-            collector.start_line, 1,
-        )
+    if rows is not None:
+        raise CaseFormatError(f"matrix mpc.{field} not closed with ']'", opened, 1)
 
     known = {"baseMVA", "bus", "gen", "branch"}
     for field in list(scalars) + list(matrices) + skipped:
@@ -287,6 +261,42 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+_BASE_MVA = "base_mva"
+
+# Per table of :class:`Network`, in key order: the record type and, per
+# field, the JSON key, the record attribute and the value type.
+_JSON_TABLES = (
+    ("buses", Bus, (
+        ("id", "id", int), ("kind", "kind", BusKind),
+        ("p_load_mw", "p_load", float), ("q_load_mvar", "q_load", float),
+        ("g_shunt_mw", "g_shunt", float), ("b_shunt_mvar", "b_shunt", float),
+        ("v_setpoint_pu", "v_setpoint", float),
+        ("v_min_pu", "v_min", float), ("v_max_pu", "v_max", float),
+    )),
+    ("branches", Branch, (
+        ("from", "from_bus", int), ("to", "to_bus", int),
+        ("r_pu", "r", float), ("x_pu", "x", float),
+        ("b_charging_pu", "b_charging", float), ("tap", "tap", float),
+        ("shift_deg", "shift", float), ("in_service", "in_service", bool),
+    )),
+    ("generators", Generator, (
+        ("bus", "bus", int), ("p_gen_mw", "p_gen", float),
+        ("v_setpoint_pu", "v_setpoint", float),
+        ("in_service", "in_service", bool),
+    )),
+)
+
+
+def _json_text(value, kind) -> str:
+    if kind is float:
+        return _fmt(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is BusKind:
+        return f'"{value.value}"'
+    return f"{value}"
+
+
 def write_json_case(net: Network) -> str:
     """Serialize a network to the native JSON schema.
 
@@ -294,47 +304,20 @@ def write_json_case(net: Network) -> str:
     produce byte-identical output and the round trip through
     :func:`parse_json_case` is lossless.
     """
-    out = ["{"]
-    out.append(f'  "base_mva": {_fmt(net.base_mva)},')
-    out.append('  "buses": [')
-    for i, b in enumerate(net.buses):
-        comma = "," if i + 1 < len(net.buses) else ""
-        out.append(
-            "    {"
-            f'"id": {b.id}, "kind": "{b.kind.value}", '
-            f'"p_load_mw": {_fmt(b.p_load)}, "q_load_mvar": {_fmt(b.q_load)}, '
-            f'"g_shunt_mw": {_fmt(b.g_shunt)}, "b_shunt_mvar": {_fmt(b.b_shunt)}, '
-            f'"v_setpoint_pu": {_fmt(b.v_setpoint)}, '
-            f'"v_min_pu": {_fmt(b.v_min)}, "v_max_pu": {_fmt(b.v_max)}'
-            "}" + comma
-        )
-    out.append("  ],")
-    out.append('  "branches": [')
-    for i, br in enumerate(net.branches):
-        comma = "," if i + 1 < len(net.branches) else ""
-        out.append(
-            "    {"
-            f'"from": {br.from_bus}, "to": {br.to_bus}, '
-            f'"r_pu": {_fmt(br.r)}, "x_pu": {_fmt(br.x)}, '
-            f'"b_charging_pu": {_fmt(br.b_charging)}, "tap": {_fmt(br.tap)}, '
-            f'"shift_deg": {_fmt(br.shift)}, '
-            f'"in_service": {"true" if br.in_service else "false"}'
-            "}" + comma
-        )
-    out.append("  ],")
-    out.append('  "generators": [')
-    for i, g in enumerate(net.generators):
-        comma = "," if i + 1 < len(net.generators) else ""
-        out.append(
-            "    {"
-            f'"bus": {g.bus}, "p_gen_mw": {_fmt(g.p_gen)}, '
-            f'"v_setpoint_pu": {_fmt(g.v_setpoint)}, '
-            f'"in_service": {"true" if g.in_service else "false"}'
-            "}" + comma
-        )
-    out.append("  ]")
+    out = ["{", f'  "{_BASE_MVA}": {_fmt(net.base_mva)},']
+    for n, (table, _, fields) in enumerate(_JSON_TABLES):
+        out.append(f'  "{table}": [')
+        rows = ["    {" + ", ".join(f'"{key}": {_json_text(getattr(rec, attr), kind)}'
+                                     for key, attr, kind in fields) + "}"
+                for rec in getattr(net, table)]
+        out += [row + "," for row in rows[:-1]] + rows[-1:]
+        out.append("  ]," if n + 1 < len(_JSON_TABLES) else "  ]")
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+_KIND_FROM_STR = {k.value: k for k in BusKind}
+_JSON_TYPE_NAMES = {float: "number", int: "integer", bool: "boolean", list: "array"}
 
 
 def _expect(obj, key: str, kind, path: str):
@@ -343,26 +326,21 @@ def _expect(obj, key: str, kind, path: str):
     if key not in obj:
         raise SchemaError(f"{path}/{key}", "required property missing")
     value = obj[key]
+    if kind is BusKind:
+        if isinstance(value, str) and value in _KIND_FROM_STR:
+            return _KIND_FROM_STR[value]
+        raise SchemaError(f"{path}/{key}",
+                          f"expected one of {sorted(_KIND_FROM_STR)}, got {value!r}")
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{path}/{key}", f"expected number, got {type(value).__name__}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"{path}/{key}", f"expected integer, got {type(value).__name__}")
-        return value
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise SchemaError(f"{path}/{key}", f"expected boolean, got {type(value).__name__}")
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            raise SchemaError(f"{path}/{key}", f"expected array, got {type(value).__name__}")
-        return value
-    raise AssertionError(kind)
-
-
-_KIND_FROM_STR = {k.value: k for k in BusKind}
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise SchemaError(f"{path}/{key}",
+                          f"expected {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}")
+    return float(value) if kind is float else value
 
 
 def parse_json_case(text: str) -> Network:
@@ -375,49 +353,15 @@ def parse_json_case(text: str) -> Network:
     if not isinstance(doc, dict):
         raise SchemaError("/", "expected top-level object")
 
-    base = _expect(doc, "base_mva", float, "")
-    buses = []
-    for i, entry in enumerate(_expect(doc, "buses", list, "")):
-        path = f"/buses/{i}"
-        kind_str = entry.get("kind") if isinstance(entry, dict) else None
-        if kind_str not in _KIND_FROM_STR:
-            raise SchemaError(f"{path}/kind",
-                              f"expected one of {sorted(_KIND_FROM_STR)}, got {kind_str!r}")
-        buses.append(Bus(
-            id=_expect(entry, "id", int, path),
-            kind=_KIND_FROM_STR[kind_str],
-            p_load=_expect(entry, "p_load_mw", float, path),
-            q_load=_expect(entry, "q_load_mvar", float, path),
-            g_shunt=_expect(entry, "g_shunt_mw", float, path),
-            b_shunt=_expect(entry, "b_shunt_mvar", float, path),
-            v_setpoint=_expect(entry, "v_setpoint_pu", float, path),
-            v_min=_expect(entry, "v_min_pu", float, path),
-            v_max=_expect(entry, "v_max_pu", float, path),
-        ))
-    branches = []
-    for i, entry in enumerate(_expect(doc, "branches", list, "")):
-        path = f"/branches/{i}"
-        branches.append(Branch(
-            from_bus=_expect(entry, "from", int, path),
-            to_bus=_expect(entry, "to", int, path),
-            r=_expect(entry, "r_pu", float, path),
-            x=_expect(entry, "x_pu", float, path),
-            b_charging=_expect(entry, "b_charging_pu", float, path),
-            tap=_expect(entry, "tap", float, path),
-            shift=_expect(entry, "shift_deg", float, path),
-            in_service=_expect(entry, "in_service", bool, path),
-        ))
-    generators = []
-    for i, entry in enumerate(_expect(doc, "generators", list, "")):
-        path = f"/generators/{i}"
-        generators.append(Generator(
-            bus=_expect(entry, "bus", int, path),
-            p_gen=_expect(entry, "p_gen_mw", float, path),
-            v_setpoint=_expect(entry, "v_setpoint_pu", float, path),
-            in_service=_expect(entry, "in_service", bool, path),
-        ))
-    return Network(base_mva=base, buses=tuple(buses), branches=tuple(branches),
-                   generators=tuple(generators))
+    base = _expect(doc, _BASE_MVA, float, "")
+    tables: dict[str, list] = {}
+    for table, record, fields in _JSON_TABLES:
+        rows = tables[table] = []
+        for i, entry in enumerate(_expect(doc, table, list, "")):
+            path = f"/{table}/{i}"
+            rows.append(record(**{attr: _expect(entry, key, kind, path)
+                                  for key, attr, kind in fields}))
+    return Network(base_mva=base, **tables)
 
 
 # ---------------------------------------------------------------------------

@@ -113,12 +113,13 @@ def _fmt_v(v: float) -> str:
 
 def _render_solution(net: Network, sol, fmt: str) -> str:
     kinds = {b.id: b.kind.value for b in net.buses}
+    rows = list(zip(sol.ids, sol.vm.tolist(), sol.va.tolist()))
     if fmt == "csv":
         lines = ["bus,kind,vm_pu,va_deg"]
-        for bus_id in sol.ids:
+        for bus_id, vm, va in rows:
             lines.append(f"{bus_id},{kinds[bus_id]},"
-                         f"{format(sol.vm_at(bus_id), '.10g')},"
-                         f"{format(math.degrees(sol.va_at(bus_id)), '.10g')}")
+                         f"{format(vm, '.10g')},"
+                         f"{format(math.degrees(va), '.10g')}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
         doc = {
@@ -127,19 +128,17 @@ def _render_solution(net: Network, sol, fmt: str) -> str:
             "max_mismatch_pu": sol.max_mismatch,
             "buses": [
                 {"bus": bus_id, "kind": kinds[bus_id],
-                 "vm_pu": sol.vm_at(bus_id),
-                 "va_deg": math.degrees(sol.va_at(bus_id))}
-                for bus_id in sol.ids
+                 "vm_pu": vm, "va_deg": math.degrees(va)}
+                for bus_id, vm, va in rows
             ],
         }
         return json.dumps(doc, indent=2) + "\n"
     lines = [f"Converged in {sol.iterations} iterations, "
              f"max mismatch {sol.max_mismatch:.3e} pu", ""]
     lines.append("Bus   Kind   Vm(pu)   Va(deg)")
-    for bus_id in sol.ids:
+    for bus_id, vm, va in rows:
         lines.append(f"{bus_id:>3}   {kinds[bus_id]:<5}  "
-                     f"{_fmt_v(sol.vm_at(bus_id))}   "
-                     f"{math.degrees(sol.va_at(bus_id)):8.4f}")
+                     f"{_fmt_v(vm)}   {math.degrees(va):8.4f}")
     return "\n".join(lines) + "\n"
 
 

@@ -333,7 +333,7 @@ def performance_index(m, dv_pq_achieved) -> float:
 
 
 def _current_setpoints(vm, model: SensitivityModel) -> np.ndarray:
-    return np.array([vm[i] for i in model.partition.pv_idx], dtype=float)
+    return vm[list(model.partition.pv_idx)]
 
 
 def _initial_state(net: Network, cfg: ControlConfig):
@@ -398,11 +398,8 @@ def _run_loop(cfg: ControlConfig, method: str, step, system: NewtonSystem,
             vm = sol.vm.copy()
         else:
             vm = vm.copy()
-            for j, idx in enumerate(part.pv_idx):
-                vm[idx] = setpoints[j]
-            dv_pq = model.a_ctrl @ record.dv_pv
-            for j, idx in enumerate(part.pq_idx):
-                vm[idx] += dv_pq[j]
+            vm[list(part.pv_idx)] = setpoints
+            vm[list(part.pq_idx)] += model.a_ctrl @ record.dv_pv
             sol = replace(sol, vm=vm.copy())
 
         record = replace(record, vm_after=vm.copy())

@@ -5,7 +5,8 @@ storage). One-shot solves (:func:`lu_solve`) use LAPACK's ``gesv``. The
 explicit factorization (:func:`lu_factor`) is implemented directly: its
 pivot threshold decides when a matrix counts as singular, and callers reuse
 one factorization for many solves. The SVD is LAPACK's, given a fixed sign
-convention so results are reproducible.
+convention so results are reproducible; the top pair of a symmetric PSD
+matrix comes from LAPACK's symmetric eigensolver.
 
 All tolerances are centralized below as named constants.
 """
@@ -196,26 +197,29 @@ def _apply_sign_convention(u: np.ndarray, sigma: np.ndarray,
 
 def top_singular_pair(a) -> tuple[float, np.ndarray]:
     """Largest singular value and left singular vector of a symmetric PSD
-    matrix.
+    matrix: its top eigenpair (LAPACK's symmetric eigensolver).
 
     Validates symmetry (to ``SYMMETRY_ATOL``) and positive
-    semi-definiteness (eigenvalues above ``PSD_EIG_FLOOR``); the returned
-    vector has unit norm and follows the svd() sign convention.
+    semi-definiteness (smallest eigenvalue at or above ``PSD_EIG_FLOOR``);
+    the returned vector has unit norm and follows the svd() sign convention.
     """
     a = _as_matrix(a)
     n, m = a.shape
     if n != m:
         raise ValueError(f"square matrix required, got {n}x{m}")
-    asym = float(np.max(np.abs(a - a.T))) if n else 0.0
+    if a.size == 0:
+        raise ValueError("empty matrix has no singular pair")
+    asym = float(np.max(np.abs(a - a.T)))
     if asym > SYMMETRY_ATOL:
         raise ValueError(f"matrix is asymmetric (max |a - a^T| = {asym:.3e})")
-    res = svd(a)
-    # For symmetric a, eigenvalues are sigma_k signed by u_k . v_k.
-    for k in range(len(res.sigma)):
-        if res.sigma[k] <= abs(PSD_EIG_FLOOR):
-            break
-        if res.sigma[k] * float(res.u[:, k] @ res.vt[k, :]) < PSD_EIG_FLOOR:
-            raise ValueError(
-                f"matrix has negative eigenvalue ~{-res.sigma[k]:.3e}, not PSD"
-            )
-    return float(res.sigma[0]), res.u[:, 0].copy()
+    try:
+        eigvals, eigvecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(str(exc)) from exc
+    if eigvals[0] < PSD_EIG_FLOOR:
+        raise ValueError(
+            f"matrix has negative eigenvalue ~{eigvals[0]:.3e}, not PSD")
+    u1 = eigvecs[:, -1].copy()
+    if u1[np.argmax(np.abs(u1))] < 0:
+        u1 = -u1
+    return float(eigvals[-1]), u1

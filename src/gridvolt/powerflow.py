@@ -206,8 +206,7 @@ def build_ybus(net: Network) -> AdmittanceMatrix:
     """
     order = bus_order(net)
     y = _Branches(net, order).ybus()
-    return AdmittanceMatrix(g=y.real.copy(), b=y.imag.copy(),
-                            ids=tuple(sorted(order)))
+    return AdmittanceMatrix(g=y.real, b=y.imag, ids=tuple(sorted(order)))
 
 
 def build_bpp_full(net: Network) -> np.ndarray:

@@ -71,8 +71,6 @@ class SensitivityModel:
     def pq_coord(self, bus_id: int) -> int:
         return self.pq_ids.index(bus_id)
 
-    def pv_coord(self, bus_id: int) -> int:
-        return self.pv_ids.index(bus_id)
 
 
 def build_bpp(net: Network, partition: BusPartition) -> np.ndarray:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import logging
 import re
 
@@ -390,6 +391,24 @@ def test_json_bad_kind_path(case9):
     text = write_json_case(case9).replace('"kind": "slack"', '"kind": "ref"')
     with pytest.raises(SchemaError, match="/buses/0/kind"):
         parse_json_case(text)
+
+
+@pytest.mark.parametrize("edit, path, message", [
+    (lambda bus: 5, "/buses/0", "expected object"),
+    (lambda bus: {k: v for k, v in bus.items() if k != "kind"},
+     "/buses/0/kind", "required property missing"),
+    (lambda bus: {**bus, "id": "1", "kind": "ref"},
+     "/buses/0/id", "expected integer, got str"),
+    (lambda bus: {**bus, "kind": []},
+     "/buses/0/kind", "expected one of ['pq', 'pv', 'slack'], got []"),
+], ids=["not-an-object", "kind-missing", "bad-id-before-bad-kind", "kind-is-a-list"])
+def test_json_bus_kind_is_checked_in_key_order(case9, edit, path, message):
+    doc = json.loads(write_json_case(case9))
+    doc["buses"][0] = edit(doc["buses"][0])
+    with pytest.raises(SchemaError) as exc_info:
+        parse_json_case(json.dumps(doc))
+    assert exc_info.value.path == path
+    assert str(exc_info.value) == f"schema error at {path}: {message}"
 
 
 def test_json_bad_type_path(case9):

@@ -359,3 +359,13 @@ def test_top_pair_rejects_asymmetric():
 def test_top_pair_rejects_indefinite():
     with pytest.raises(ValueError, match="negative eigenvalue"):
         top_singular_pair(np.diag([4.0, -1.0]))
+
+
+def test_top_pair_rejects_indefinite_with_tied_singular_values():
+    # eigenvalues +1 and -1: both singular values are 1, so a singular pair
+    # alone cannot tell this matrix from the identity
+    with pytest.raises(ValueError, match=r"negative eigenvalue ~-1\.000e\+00"):
+        top_singular_pair(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    sigma_sq, u1 = top_singular_pair(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    assert sigma_sq == pytest.approx(1.5, abs=1e-15)
+    assert np.allclose(u1, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)

@@ -77,6 +77,12 @@ def test_ybus_tap_and_charging():
     assert y[1, 0] == pytest.approx(-ys / 0.95)
 
 
+def test_ybus_parts_are_views_of_one_complex_matrix(case30):
+    y = build_ybus(case30)
+    assert y.g.base is not None and y.g.base is y.b.base
+    assert np.array_equal(y.g + 1j * y.b, y.complex())
+
+
 def test_ybus_zero_impedance_branch_rejected():
     net = two_bus_toy()
     bad = dataclasses.replace(
