@@ -54,7 +54,7 @@ class SingularMatrixError(ValueError):
 
 
 class SvdConvergenceError(RuntimeError):
-    """LAPACK's SVD iteration did not converge."""
+    """LAPACK's SVD (or symmetric eigensolver) iteration did not converge."""
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -72,7 +72,6 @@ class SensitivityModel:
         return self.pq_ids.index(bus_id)
 
 
-
 def build_bpp(net: Network, partition: BusPartition) -> np.ndarray:
     """B'' restricted to the partition's coordinates, pv block first.
 
