@@ -106,6 +106,7 @@ class SchemaError(ValueError):
 _ASSIGN_RE = re.compile(r"\s*(\w+)\.(\w+)\s*=\s*(.*)$")
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 _CELL_RE = re.compile(r";|[^\s,;]+")  # a matrix cell or a row-ending ';'
+_BODY_CHARS = str.maketrans("", "", "0123456789.eE+-,; \t")  # ASCII numbers, separators
 
 
 def _parse_number(token: str, line: int, col: int) -> float:
@@ -114,23 +115,44 @@ def _parse_number(token: str, line: int, col: int) -> float:
     return float(token)
 
 
+def _matrix_rows(lines: list[str], opened: int, col0: int) -> list[list[float]]:
+    """The rows of a matrix body whose ``lines`` start at line ``opened``,
+    the first at column ``col0``. Without its ASCII number characters and
+    separators the body may hold only whitespace and decimal digits (as
+    ``\\s``, ``\\d``); ``float`` then rejects just the cells ``_NUMBER_RE``
+    rejects. A body that fails is walked cell by cell to report the first."""
+    body = ";".join(lines).replace(",", " ")
+    stray = "".join(body.translate(_BODY_CHARS).split())
+    if not stray or stray.isdecimal():
+        try:
+            return [list(map(float, cells))
+                    for cells in map(str.split, body.split(";")) if cells]
+        except ValueError:
+            pass
+    for lineno, line in enumerate(lines, start=opened):
+        for cell in _CELL_RE.finditer(line):
+            if cell.group() != ";":
+                _parse_number(cell.group(), lineno, col0 + cell.start())
+        col0 = 1
+    raise AssertionError(f"matrix body from line {opened} has no bad cell")
+
+
 def _scan_matpower(text: str) -> tuple[dict[str, float], dict[str, list[list[float]]]]:
     """Scalars and numeric matrices of a MATPOWER-style case text.
 
-    A matrix body is tokenised into cells and ``;``; a row ends at ``;`` or
-    at the end of a line, and ``]`` closes the matrix (the rest of that line
-    is ignored).
+    A matrix body is split into cells at whitespace and ``,``; a row ends
+    at ``;`` or at the end of a line, and ``]`` closes the matrix (the rest
+    of that line is ignored).
     """
     scalars: dict[str, float] = {}
     matrices: dict[str, list[list[float]]] = {}
     skipped: list[str] = []
-    rows: list[list[float]] | None = None  # the open matrix, opened on line `opened`
-    field, opened = "", 0
+    body: list[str] | None = None  # the open matrix's lines, from line `opened`
+    field, opened, col0 = "", 0, 1
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0]
-        col0 = 1  # 1-based column of line[0]
-        if rows is None:
+        if body is None:
             if not line.strip() or re.match(r"\s*function\b", line):
                 continue
             m = _ASSIGN_RE.match(line)
@@ -147,24 +169,16 @@ def _scan_matpower(text: str) -> tuple[dict[str, float], dict[str, list[list[flo
                                                m.start(3) + 1)
                 continue
             bracket = line.index("[", m.start(3))
-            line, col0 = line[bracket + 1:], bracket + 2
-            rows, opened = [], lineno
-        body, closed, _ = line.partition("]")
-        row: list[float] = []
-        for cell in _CELL_RE.finditer(body):
-            token = cell.group()
-            if token != ";":
-                row.append(_parse_number(token, lineno, col0 + cell.start()))
-            elif row:
-                rows.append(row)
-                row = []
-        if row:
-            rows.append(row)
+            line, col0 = line[bracket + 1:], bracket + 2  # 1-based column of line[0]
+            body, opened = [], lineno
+        part, closed, _ = line.partition("]")
+        body.append(part)
         if closed:
-            matrices[field] = rows
-            rows = None
+            matrices[field] = _matrix_rows(body, opened, col0)
+            body = None
 
-    if rows is not None:
+    if body is not None:
+        _matrix_rows(body, opened, col0)  # a bad cell is reported first
         raise CaseFormatError(f"matrix mpc.{field} not closed with ']'", opened, 1)
 
     known = {"baseMVA", "bus", "gen", "branch"}
@@ -174,14 +188,6 @@ def _scan_matpower(text: str) -> tuple[dict[str, float], dict[str, list[list[flo
             scalars.pop(field, None)
             matrices.pop(field, None)
     return scalars, matrices
-
-
-def _require_columns(rows: list[list[float]], need: int, table: str) -> None:
-    for i, row in enumerate(rows):
-        if len(row) < need:
-            raise CaseFormatError(
-                f"mpc.{table} row {i + 1} has {len(row)} columns, expected >= {need}"
-            )
 
 
 _BUS_TYPE_TO_KIND = {3: BusKind.SLACK, 2: BusKind.PV, 1: BusKind.PQ}
@@ -199,12 +205,15 @@ def parse_matpower_case(text: str) -> Network:
     scalars, matrices = _scan_matpower(text)
     if "baseMVA" not in scalars:
         raise CaseFormatError("missing required field mpc.baseMVA")
-    for table in ("bus", "gen", "branch"):
+    tables = (("bus", BUS_COLUMNS), ("gen", GEN_COLUMNS), ("branch", BRANCH_COLUMNS))
+    for table, _ in tables:
         if table not in matrices:
             raise CaseFormatError(f"missing required table mpc.{table}")
-    _require_columns(matrices["bus"], BUS_COLUMNS, "bus")
-    _require_columns(matrices["gen"], GEN_COLUMNS, "gen")
-    _require_columns(matrices["branch"], BRANCH_COLUMNS, "branch")
+    for table, need in tables:
+        for i, row in enumerate(matrices[table]):
+            if len(row) < need:
+                raise CaseFormatError(f"mpc.{table} row {i + 1} has {len(row)} "
+                                      f"columns, expected >= {need}")
 
     generators = []
     gen_setpoint: dict[int, float] = {}
@@ -232,10 +241,8 @@ def parse_matpower_case(text: str) -> Network:
         if kind in (BusKind.SLACK, BusKind.PV) and not has_gen:
             logger.warning("bus %d typed %s but hosts no in-service generator",
                            bus_id, kind.value)
-        if kind in (BusKind.SLACK, BusKind.PV):
-            setpoint = gen_setpoint.get(bus_id, row[7])  # fall back to Vm
-        else:
-            setpoint = row[7]
+        # a slack or PV bus takes its first generator's Vg, else its own Vm
+        setpoint = row[7] if kind is BusKind.PQ else gen_setpoint.get(bus_id, row[7])
         buses.append(Bus(id=bus_id, kind=kind, p_load=row[2], q_load=row[3],
                          g_shunt=row[4], b_shunt=row[5], v_setpoint=setpoint,
                          v_min=row[12], v_max=row[11]))
@@ -340,7 +347,10 @@ def _expect(obj, key: str, kind, path: str):
     if not ok:
         raise SchemaError(f"{path}/{key}",
                           f"expected {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}")
-    return float(value) if kind is float else value
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:  # an integer beyond float range
+        raise SchemaError(f"{path}/{key}", "number out of float range") from None
 
 
 def parse_json_case(text: str) -> Network:
@@ -429,11 +439,16 @@ def write_trace_csv(trace: "ControlTrace") -> str:
     return "\n".join(lines) + "\n"
 
 
+# The bundled cases by name, from one listing of the package data directory.
+_BUNDLED = {path.name[:-2]: str(path)
+            for path in resources.files("gridvolt.data").iterdir()
+            if path.name.endswith(".m") and path.is_file()}
+
+
 def bundled_case_path(name: str) -> str:
     """Filesystem path of a bundled IEEE case (``case9``, ``case14``,
     ``case30``; a trailing ``.m`` is accepted)."""
-    stem = name[:-2] if name.endswith(".m") else name
-    path = resources.files("gridvolt.data") / f"{stem}.m"
-    if not path.is_file():
+    path = _BUNDLED.get(name[:-2] if name.endswith(".m") else name)
+    if path is None:
         raise FileNotFoundError(f"no bundled case named {name!r}")
-    return str(path)
+    return path

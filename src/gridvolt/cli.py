@@ -146,12 +146,12 @@ def _sens_csv(net: Network) -> str:
     model = sensitivity.build_model(net)
     lines = ["matrix,row_bus,col_bus,value"]
     all_ids = model.pv_ids + model.pq_ids
-    for i, ri in enumerate(all_ids):
-        for j, cj in enumerate(all_ids):
-            lines.append(f"s_vq,{ri},{cj},{format(model.s_vq[i, j], '.10g')}")
-    for i, ri in enumerate(model.pq_ids):
-        for j, cj in enumerate(model.pv_ids):
-            lines.append(f"a_ctrl,{ri},{cj},{format(model.a_ctrl[i, j], '.10g')}")
+    for name, matrix, row_ids, col_ids in (
+            ("s_vq", model.s_vq, all_ids, all_ids),
+            ("a_ctrl", model.a_ctrl, model.pq_ids, model.pv_ids)):
+        for ri, row in zip(row_ids, matrix.tolist()):
+            lines += [f"{name},{ri},{cj},{format(v, '.10g')}"
+                      for cj, v in zip(col_ids, row)]
     return "\n".join(lines) + "\n"
 
 

@@ -175,6 +175,17 @@ def _setpoint_problem(bus_id: int, v: float) -> str | None:
     return f"bus {bus_id}: set-point {v} outside (0, 2) pu"
 
 
+_BUS_NUMBERS = ("p_load", "q_load", "g_shunt", "b_shunt", "v_min", "v_max")
+_BRANCH_NUMBERS = ("r", "x", "b_charging", "tap", "shift")
+
+
+def _non_finite(what: str, record, names: tuple[str, ...]) -> list[str]:
+    """The report lines for the fields ``names`` of ``record`` that are NaN
+    or infinite (set-points have their own range check)."""
+    return [f"{what}: {name} {getattr(record, name)} is not finite"
+            for name in names if not math.isfinite(getattr(record, name))]
+
+
 def validate_network(net: Network) -> list[str]:
     """Check every structural invariant; return one message per violation.
 
@@ -187,6 +198,8 @@ def validate_network(net: Network) -> list[str]:
 
     if net.base_mva <= 0:
         report.append(f"base_mva must be positive, got {net.base_mva}")
+    elif not math.isfinite(net.base_mva):
+        report.append(f"base_mva must be finite, got {net.base_mva}")
     if len(ids) != len(id_set):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         report.append(f"duplicate bus ids: {dupes}")
@@ -205,6 +218,10 @@ def validate_network(net: Network) -> list[str]:
         problem = _setpoint_problem(b.id, b.v_setpoint)
         if problem is not None:
             report.append(problem)
+        # one sum screens the record; it is not finite if a field is not
+        if not math.isfinite(b.p_load + b.q_load + b.g_shunt + b.b_shunt
+                             + b.v_min + b.v_max):
+            report += _non_finite(f"bus {b.id}", b, _BUS_NUMBERS)
 
     for k, br in enumerate(net.branches):
         if br.from_bus not in id_set:
@@ -215,9 +232,14 @@ def validate_network(net: Network) -> list[str]:
             report.append(f"branch {k} ({br.from_bus}-{br.to_bus}): zero impedance")
         if br.tap <= 0:
             report.append(f"branch {k} ({br.from_bus}-{br.to_bus}): tap {br.tap} <= 0")
+        if not math.isfinite(br.r + br.x + br.b_charging + br.tap + br.shift):
+            report += _non_finite(f"branch {k} ({br.from_bus}-{br.to_bus})", br,
+                                  _BRANCH_NUMBERS)
 
     gens_at: dict[int, int] = {}
     for g in net.generators:
+        if not math.isfinite(g.p_gen):
+            report.append(f"generator at bus {g.bus}: p_gen {g.p_gen} is not finite")
         if g.bus not in id_set:
             report.append(f"generator at bus {g.bus}: bus does not exist")
         elif g.in_service:

@@ -284,7 +284,8 @@ for _name in ("case9", "case14", "case30"):
     with open(caseio.bundled_case_path(_name), encoding="utf-8") as _fh:
         _BUNDLED_TEXT[_name] = _fh.read()
 
-_EDIT_CHARS = list(";],[% x") + ["\n", "\t"] + list(".e-0")
+_EDIT_CHARS = (list(";],[% x") + ["\n", "\t"] + list(".e-0")
+               + list("+E_n") + ["\u0661", "\xa0"])
 
 
 @st.composite
@@ -308,6 +309,39 @@ def test_scanner_matches_the_reference_on_bundled_cases():
     for text in _BUNDLED_TEXT.values():
         _assert_scans_like_the_reference(text)
     _assert_scans_like_the_reference(TWO_BUS_CASE)
+
+
+def test_scanner_reads_unicode_digits_and_no_break_spaces(case9):
+    # Bus 9's Pd written in Arabic-Indic digits, its cells parted by
+    # no-break spaces: the cell rule's ``\d`` and ``\s`` match those, so
+    # the case reads as case9; float-only spellings stay non-numeric.
+    text = _BUNDLED_TEXT["case9"]
+    row = "\t9\t1\t125\t50\t0\t0\t1\t1\t0\t345\t1\t1.1\t0.9;"
+    assert row in text
+    edited = text.replace(row, row.replace("125", "\u0661\u0662\u0665")
+                          .replace("\t", "\xa0"))
+    _assert_scans_like_the_reference(edited)
+    assert parse_matpower_case(edited) == case9
+    for bad in ("nan", "inf", "1_25", "\u0661x"):
+        broken = text.replace(row, row.replace("125", bad))
+        _assert_scans_like_the_reference(broken)
+        with pytest.raises(CaseFormatError, match=re.escape(f"non-numeric cell {bad!r}")):
+            parse_matpower_case(broken)
+
+
+def test_matrix_cells_are_not_parsed_one_by_one(monkeypatch):
+    # matrices are checked and converted in bulk: the per-token number
+    # check runs for the scalar assignments only (mpc.baseMVA here)
+    tokens = []
+
+    def counting(token, line, col, _original=caseio._parse_number):
+        tokens.append(token)
+        return _original(token, line, col)
+    monkeypatch.setattr(caseio, "_parse_number", counting)
+    for name, text in _BUNDLED_TEXT.items():
+        tokens.clear()
+        net = parse_matpower_case(text)
+        assert net.n_bus > 0 and tokens == ["100"], name
 
 
 @settings(max_examples=300)
@@ -385,6 +419,15 @@ def test_json_missing_base_mva_path():
     with pytest.raises(SchemaError, match="/base_mva") as exc_info:
         parse_json_case('{"buses": [], "branches": [], "generators": []}')
     assert exc_info.value.path == "/base_mva"
+
+
+def test_json_number_beyond_float_range_is_a_schema_error(case9):
+    doc = json.loads(write_json_case(case9))
+    doc["base_mva"] = 10**400
+    with pytest.raises(SchemaError) as exc_info:
+        parse_json_case(json.dumps(doc))
+    assert exc_info.value.path == "/base_mva"
+    assert "out of float range" in str(exc_info.value)
 
 
 def test_json_bad_kind_path(case9):

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 from gridvolt import caseio, netmodel
 from gridvolt.cli import DATA_DIR_ENV, RunSpec, main, run
 from gridvolt.controller import ControlConfig
+
+from conftest import load_case
 
 
 def make_spec(**kwargs) -> RunSpec:
@@ -237,6 +240,48 @@ def test_invalid_network_report_is_the_same_for_every_method(
     assert captured.err == ("error: invalid network: branch 0: to-bus 9 does "
                             "not exist; network is not connected over "
                             "in-service branches\n")
+
+
+# Three routes by which a non-finite number reaches a run: each is an
+# input error (exit 1), not a singular solve or a power flow that diverges.
+
+def test_infinite_matpower_cell_is_an_invalid_network(tmp_path, capsys):
+    with open(caseio.bundled_case_path("case9"), encoding="utf-8") as fh:
+        text = fh.read()
+    row = "\t9\t1\t125\t50\t"
+    assert row in text
+    bad = tmp_path / "inf9.m"
+    bad.write_text(text.replace(row, "\t9\t1\t125\t1e999\t"))
+    assert main(["--case", str(bad), "--method", "solve"]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid network: bus 9: q_load inf is not finite\n")
+
+
+def test_nan_in_a_json_case_is_an_invalid_network(tmp_path, capsys):
+    doc = json.loads(caseio.write_json_case(load_case("case9")))
+    assert doc["buses"][8]["id"] == 9
+    doc["buses"][8]["q_load_mvar"] = float("nan")
+    bad = tmp_path / "nan9.json"
+    bad.write_text(json.dumps(doc))  # json writes NaN, as json.loads reads it
+    assert main(["--case", str(bad), "--method", "solve"]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid network: bus 9: q_load nan is not finite\n")
+
+
+def test_nan_disturbance_is_an_invalid_network(capsys):
+    assert main(["--case", "case9", "--disturb", "9:nan", "--method", "ovc"]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid network: bus 9: q_load nan is not finite\n")
+
+
+def test_json_number_beyond_float_range_exits_1(tmp_path, capsys):
+    doc = json.loads(caseio.write_json_case(load_case("case9")))
+    doc["base_mva"] = 10**400
+    bad = tmp_path / "big9.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["--case", str(bad), "--method", "solve"]) == 1
+    assert capsys.readouterr().err == (
+        "error: schema error at /base_mva: number out of float range\n")
 
 
 @pytest.mark.parametrize("method", ["ovc", "svc", "compare", "solve", "sens"])

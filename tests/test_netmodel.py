@@ -57,6 +57,30 @@ def test_validate_reports_zero_impedance_and_bad_tap():
     assert any("tap" in entry for entry in report)
 
 
+def test_validate_reports_every_non_finite_field(case9):
+    nan, inf = float("nan"), float("inf")
+    bad = dataclasses.replace(
+        case9, base_mva=inf,
+        buses=tuple(dataclasses.replace(b, q_load=nan, v_max=inf) if b.id == 9
+                    else b for b in case9.buses),
+        branches=(dataclasses.replace(case9.branches[0], tap=nan, shift=-inf),)
+        + case9.branches[1:],
+        generators=(dataclasses.replace(case9.generators[0], p_gen=nan),)
+        + case9.generators[1:])
+    assert validate_network(bad) == [
+        "base_mva must be finite, got inf",
+        "bus 9: q_load nan is not finite",
+        "bus 9: v_max inf is not finite",
+        "branch 0 (1-4): tap nan is not finite",
+        "branch 0 (1-4): shift -inf is not finite",
+        "generator at bus 1: p_gen nan is not finite",
+    ]
+    # finite fields whose sum overflows are not reported
+    huge = dataclasses.replace(case9, buses=tuple(
+        dataclasses.replace(b, p_load=1e308, q_load=1e308) for b in case9.buses))
+    assert validate_network(huge) == []
+
+
 def test_validate_rejects_island(case9):
     # Dropping the only branch into bus 9 (8-9 and 9-4) islands it.
     branches = tuple(
