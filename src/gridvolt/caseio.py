@@ -191,6 +191,9 @@ def _scan_matpower(text: str) -> tuple[dict[str, float], dict[str, list[list[flo
 
 
 _BUS_TYPE_TO_KIND = {3: BusKind.SLACK, 2: BusKind.PV, 1: BusKind.PQ}
+# Columns that hold whole numbers, per table: (0-based index, MATPOWER name).
+_INT_COLUMNS = {"bus": ((0, "bus_i"), (1, "type")), "gen": ((0, "bus"),),
+                "branch": ((0, "fbus"), (1, "tbus"))}
 
 
 def parse_matpower_case(text: str) -> Network:
@@ -214,12 +217,18 @@ def parse_matpower_case(text: str) -> Network:
             if len(row) < need:
                 raise CaseFormatError(f"mpc.{table} row {i + 1} has {len(row)} "
                                       f"columns, expected >= {need}")
+            for col, name in _INT_COLUMNS[table]:
+                if not row[col].is_integer():  # also false for inf and nan
+                    raise CaseFormatError(
+                        f"mpc.{table} row {i + 1} column {col + 1} ({name}) is "
+                        f"{row[col]!r}, expected a whole number")
+                row[col] = int(row[col])
 
     generators = []
     gen_setpoint: dict[int, float] = {}
     gens_at: dict[int, int] = {}
     for row in matrices["gen"]:
-        bus_id = int(row[0])
+        bus_id = row[0]
         in_service = row[7] != 0
         generators.append(Generator(bus=bus_id, p_gen=row[1],
                                     v_setpoint=row[5], in_service=in_service))
@@ -229,8 +238,7 @@ def parse_matpower_case(text: str) -> Network:
 
     buses = []
     for row in matrices["bus"]:
-        bus_id = int(row[0])
-        bus_type = int(row[1])
+        bus_id, bus_type = row[0], row[1]
         kind = _BUS_TYPE_TO_KIND.get(bus_type)
         if kind is None:
             raise CaseFormatError(f"bus {bus_id}: unsupported type {bus_type}")
@@ -250,7 +258,7 @@ def parse_matpower_case(text: str) -> Network:
     branches = []
     for row in matrices["branch"]:
         tap = row[8] if row[8] != 0 else 1.0
-        branches.append(Branch(from_bus=int(row[0]), to_bus=int(row[1]),
+        branches.append(Branch(from_bus=row[0], to_bus=row[1],
                                r=row[2], x=row[3], b_charging=row[4],
                                tap=tap, shift=row[9], in_service=row[10] != 0))
 

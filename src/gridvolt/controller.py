@@ -33,7 +33,7 @@ from .powerflow import (
     newton_system,
     solve_newton,
 )
-from .sensitivity import SensitivityModel, build_model
+from .sensitivity import SensitivityModel, build_model, predict_dvpq
 
 __all__ = [
     "EvaluationMode",
@@ -399,7 +399,7 @@ def _run_loop(cfg: ControlConfig, method: str, step, system: NewtonSystem,
         else:
             vm = vm.copy()
             vm[list(part.pv_idx)] = setpoints
-            vm[list(part.pq_idx)] += model.a_ctrl @ record.dv_pv
+            vm[list(part.pq_idx)] += predict_dvpq(model, record.dv_pv)
             sol = replace(sol, vm=vm.copy())
 
         record = replace(record, vm_after=vm.copy())

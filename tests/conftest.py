@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, settings
 
 from gridvolt import caseio, netmodel
 from gridvolt.netmodel import Branch, Bus, BusKind, BusPartition, Generator, Network
+from gridvolt.numerics import lu_factor, lu_solve_factored
 
 settings.register_profile(
     "ci",
@@ -128,3 +129,13 @@ def two_bus_voltage(q_pu: float, x: float = 0.1) -> float:
     V = (1 + sqrt(1 - 4 x q)) / 2.
     """
     return 0.5 * (1.0 + np.sqrt(1.0 - 4.0 * x * q_pu))
+
+
+# --- numerics reference ------------------------------------------------------
+
+
+def lu_inverse(a) -> np.ndarray:
+    """Full inverse of a nonsingular matrix through the hand LU: the
+    factorization solved against the identity."""
+    fac = lu_factor(a)
+    return lu_solve_factored(fac, np.eye(fac.lu.shape[0]))

@@ -122,6 +122,48 @@ def test_non_numeric_cell_reported_with_position():
     assert (exc_info.value.line, exc_info.value.col) == (9, 9)
 
 
+# The integer columns of TWO_BUS_CASE, by MATPOWER name: table, row
+# number, row text and 0-based column.
+BUS_ROW = "\t2\t1\t0\t10\t0\t0\t1\t1\t0\t345\t1\t1.1\t0.9;"
+BRANCH_ROW = "\t1\t2\t0\t0.1\t0\t250\t250\t250\t0\t0\t1;"
+INT_CELLS = {
+    "bus_i": ("bus", 2, BUS_ROW, 0),
+    "type": ("bus", 2, BUS_ROW, 1),
+    "bus": ("gen", 1, "\t1\t0\t0\t300\t-300\t1\t100\t1\t250\t10;", 0),
+    "fbus": ("branch", 1, BRANCH_ROW, 0),
+    "tbus": ("branch", 1, BRANCH_ROW, 1),
+}
+
+
+@pytest.mark.parametrize("value", ["1e999", "-1e999", "9.5"])
+@pytest.mark.parametrize("name", INT_CELLS)
+def test_integer_column_must_hold_a_whole_number(name, value):
+    table, row, text, col = INT_CELLS[name]
+    assert text in TWO_BUS_CASE
+    cells = text.split("\t")  # a leading '' before the first tab
+    cells[col + 1] = value
+    with pytest.raises(CaseFormatError) as exc_info:
+        parse_matpower_case(TWO_BUS_CASE.replace(text, "\t".join(cells)))
+    assert str(exc_info.value) == (
+        f"mpc.{table} row {row} column {col + 1} ({name}) is "
+        f"{float(value)!r}, expected a whole number")
+
+
+def test_integer_columns_accept_whole_numbers_with_a_point():
+    text = TWO_BUS_CASE
+    for old, new in (("\t2\t1\t0\t10", "\t2.0\t1.0\t0\t10"),
+                     ("\t1\t0\t0\t300", "\t1.0\t0\t0\t300"),
+                     ("\t1\t2\t0\t0.1", "\t1e0\t2.\t0\t0.1")):
+        assert old in text
+        text = text.replace(old, new)
+    net = parse_matpower_case(text)
+    assert net == parse_matpower_case(TWO_BUS_CASE)
+    ids = [b.id for b in net.buses] + [g.bus for g in net.generators]
+    ids += [end for br in net.branches for end in (br.from_bus, br.to_bus)]
+    assert ids == [1, 2, 1, 1, 2]
+    assert all(type(i) is int for i in ids)
+
+
 def test_extra_columns_parse_identically(case9):
     with open(caseio.bundled_case_path("case9"), encoding="utf-8") as fh:
         text = fh.read()

@@ -284,6 +284,37 @@ def test_json_number_beyond_float_range_exits_1(tmp_path, capsys):
         "error: schema error at /base_mva: number out of float range\n")
 
 
+# An integer column (bus id and type, generator bus, branch ends) holding
+# something other than a finite whole number is a format error, exit 1.
+# Per MATPOWER name: table, row number, the row's leading cells, column.
+CASE9_INT_CELLS = {
+    "bus_i": ("bus", 9, "\t9\t1\t125\t50\t", 0),
+    "type": ("bus", 9, "\t9\t1\t125\t50\t", 1),
+    "bus": ("gen", 1, "\t1\t72.3\t27.03\t", 0),
+    "fbus": ("branch", 1, "\t1\t4\t0\t0.0576\t", 0),
+    "tbus": ("branch", 1, "\t1\t4\t0\t0.0576\t", 1),
+}
+
+
+@pytest.mark.parametrize("value", ["1e999", "-1e999", "9.5"])
+@pytest.mark.parametrize("name", CASE9_INT_CELLS)
+def test_integer_column_not_a_whole_number_exits_1(tmp_path, capsys, name, value):
+    table, number, row, col = CASE9_INT_CELLS[name]
+    with open(caseio.bundled_case_path("case9"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(row) == 1
+    cells = row.split("\t")
+    cells[col + 1] = value
+    bad = tmp_path / "int9.m"
+    bad.write_text(text.replace(row, "\t".join(cells)))
+    assert main(["--case", str(bad), "--method", "solve"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: mpc.{table} row {number} column {col + 1} "
+                            f"({name}) is {float(value)!r}, expected a whole "
+                            "number\n")
+
+
 @pytest.mark.parametrize("method", ["ovc", "svc", "compare", "solve", "sens"])
 def test_each_run_validates_the_network_once(monkeypatch, capsys, method):
     calls = []

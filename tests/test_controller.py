@@ -459,27 +459,32 @@ def test_both_steps_reject_a_pv_bus_alike(case9):
 
 def test_ovc_run_uses_no_full_inverse_and_no_svd(case30, monkeypatch):
     # the model is one B22 solve plus an n_pv x n_pv Schur factorization,
-    # and the selector direction is closed-form: reintroducing the full
-    # B'' inverse or an SVD on this path fails here
-    calls = {name: [] for name in ("svd", "invert", "lu_factor",
+    # and the selector direction is closed-form: a full inverse, an SVD or
+    # an eigensolver call on this path fails here, from numerics or direct
+    calls = {name: [] for name in ("svd", "inv", "eigh", "lu_factor",
                                    "lu_solve_factored")}
+
+    def counting(original, args):
+        def wrapper(first, *rest, **kwargs):
+            args.append(np.shape(first))
+            return original(first, *rest, **kwargs)
+        return wrapper
+    for name in ("svd", "inv", "eigh"):
+        monkeypatch.setattr(np.linalg, name,
+                            counting(getattr(np.linalg, name), calls[name]))
     modules = [m for n, m in list(sys.modules.items())
                if n == "gridvolt" or n.startswith("gridvolt.")]
-    for name, args in calls.items():
+    for name in ("lu_factor", "lu_solve_factored"):
         original = getattr(numerics, name)
-
-        def wrapper(first, *rest, _original=original, _args=args, **kwargs):
-            _args.append(np.shape(first))
-            return _original(first, *rest, **kwargs)
         for module in modules:
             if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, wrapper)
+                monkeypatch.setattr(module, name, counting(original, calls[name]))
     net = netmodel.apply_disturbance(netmodel.set_flat_setpoints(case30, 1.0),
                                      30, 20.0)
     trace = ovc_run(net)
     n_pv = len(trace.partition.pv_idx)
     assert trace.iterations
-    assert calls["svd"] == [] and calls["invert"] == []
+    assert calls["svd"] == [] and calls["inv"] == [] and calls["eigh"] == []
     assert calls["lu_factor"]
     assert all(shape == (n_pv, n_pv) for shape in calls["lu_factor"])
     assert calls["lu_solve_factored"]

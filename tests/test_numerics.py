@@ -2,22 +2,20 @@ import numpy as np
 import pytest
 
 from gridvolt.numerics import (
-    SVD_ORTHOGONALITY_TOL,
-    SVD_RECONSTRUCTION_RTOL,
     SingularMatrixError,
-    _apply_sign_convention,
-    invert,
+    SvdConvergenceError,
     lu_factor,
     lu_solve,
     lu_solve_factored,
-    svd,
     top_singular_pair,
 )
+
+from conftest import lu_inverse
 
 # ---------------------------------------------------------------------------
 # Independent oracle, written before the implementation under test: power
 # iteration with deflation recovers the eigenvalues of a symmetric PSD
-# matrix without any shared code path with the SVD under test.
+# matrix without any shared code path with the eigensolver under test.
 
 
 def power_iteration_eigs(a: np.ndarray, tol: float = 1e-14,
@@ -137,21 +135,21 @@ def test_lu_solve_rejects_bad_input(a, b):
         lu_solve(a, b)
 
 
-# ------------------------------------------------------------------------ invert
+# ----------------------------------------------- full inverse through the LU
 
 
 def test_invert_cofactor_2x2():
     a = np.array([[15.0, -5.0], [-5.0, 9.0]])
     expected = np.array([[9.0, 5.0], [5.0, 15.0]]) / 110.0
-    assert np.allclose(invert(a), expected, atol=1e-14)
+    assert np.allclose(lu_inverse(a), expected, atol=1e-14)
 
 
 def test_invert_identity():
-    assert np.allclose(invert(np.eye(5)), np.eye(5), atol=1e-15)
+    assert np.allclose(lu_inverse(np.eye(5)), np.eye(5), atol=1e-15)
 
 
 def test_invert_diagonal():
-    assert np.allclose(invert(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]),
+    assert np.allclose(lu_inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]),
                        atol=1e-15)
 
 
@@ -160,180 +158,51 @@ def test_invert_twice_is_identity_map():
     for _ in range(25):
         n = int(rng.integers(2, 21))
         a = rng.standard_normal((n, n)) + n * np.eye(n)  # well-conditioned
-        assert np.allclose(invert(invert(a)), a, atol=1e-7)
-
-
-# --------------------------------------------------------------------------- svd
-
-
-def check_svd_contract(a: np.ndarray):
-    a = np.asarray(a, dtype=float)
-    m, n = a.shape
-    res = svd(a)
-    assert res.u.shape == (m, m)
-    assert res.vt.shape == (n, n)
-    assert res.sigma.shape == (min(m, n),)
-    assert np.all(res.sigma >= 0.0)
-    assert np.all(np.diff(res.sigma) <= 1e-15)
-    assert np.max(np.abs(res.u.T @ res.u - np.eye(m))) <= SVD_ORTHOGONALITY_TOL
-    assert np.max(np.abs(res.vt @ res.vt.T - np.eye(n))) <= SVD_ORTHOGONALITY_TOL
-    recon = res.u[:, :len(res.sigma)] @ np.diag(res.sigma) @ res.vt[:len(res.sigma)]
-    denom = max(np.linalg.norm(a), 1e-300)
-    assert np.linalg.norm(recon - a) / denom <= SVD_RECONSTRUCTION_RTOL \
-        or np.linalg.norm(a) == 0.0
-    for k in range(m):
-        col = res.u[:, k]
-        assert col[int(np.argmax(np.abs(col)))] >= 0.0
-    return res
-
-
-def test_svd_diagonal():
-    res = check_svd_contract(np.diag([3.0, 1.0]))
-    assert np.allclose(res.sigma, [3.0, 1.0], atol=1e-14)
-    assert np.allclose(np.abs(res.u), np.eye(2), atol=1e-14)
-    assert np.allclose(np.abs(res.vt), np.eye(2), atol=1e-14)
-
-
-def test_svd_rank_one_1x1():
-    res = check_svd_contract(np.array([[25.0 / 81.0]]))
-    assert res.sigma[0] == pytest.approx(0.30864197530864196, abs=1e-15)
-
-
-def test_svd_matches_power_iteration_oracle_on_psd():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        g = rng.standard_normal((6, 6))
-        a = g @ g.T  # symmetric PSD
-        res = check_svd_contract(a)
-        oracle = power_iteration_eigs(a)
-        assert np.allclose(res.sigma, oracle, atol=1e-8)
-
-
-def test_svd_values_match_lapack():
-    # second independent route: LAPACK through numpy
-    rng = np.random.default_rng(18)
-    for _ in range(50):
-        m = int(rng.integers(1, 16))
-        n = int(rng.integers(1, 16))
-        a = rng.standard_normal((m, n))
-        got = svd(a).sigma
-        ref = np.linalg.svd(a, compute_uv=False)
-        assert np.allclose(got, ref, atol=1e-10 * max(1.0, ref[0]))
-
-
-def test_svd_rectangular_both_orientations():
-    rng = np.random.default_rng(19)
-    check_svd_contract(rng.standard_normal((7, 3)))
-    check_svd_contract(rng.standard_normal((3, 7)))
-
-
-def test_svd_zero_and_rank_deficient():
-    check_svd_contract(np.zeros((4, 3)))
-    w = np.array([2.0, -1.0, 0.5])
-    res = check_svd_contract(np.outer(w, w))
-    assert res.sigma[0] == pytest.approx(float(w @ w), abs=1e-12)
-    assert res.sigma[1] <= 1e-12
-    assert res.sigma[2] <= 1e-12
-
-
-def test_svd_values_invariant_under_row_permutation():
-    rng = np.random.default_rng(23)
-    a = rng.standard_normal((8, 5))
-    sig = svd(a).sigma
-    for _ in range(5):
-        perm = rng.permutation(8)
-        assert np.allclose(svd(a[perm]).sigma, sig, atol=1e-9)
-
-
-def test_svd_u_equals_v_for_symmetric_psd():
-    rng = np.random.default_rng(29)
-    g = rng.standard_normal((5, 5))
-    a = g @ g.T
-    res = svd(a)
-    for k in range(5):
-        u_col = res.u[:, k]
-        v_col = res.vt[k, :]
-        agree = min(np.max(np.abs(u_col - v_col)), np.max(np.abs(u_col + v_col)))
-        assert agree <= 1e-9
-
-
-def test_svd_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        svd(np.array([[1.0, np.inf], [0.0, 1.0]]))
-
-
-def test_svd_nonconvergence_raises_convergence_error(monkeypatch):
-    import gridvolt.numerics as numerics
-
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    with pytest.raises(numerics.SvdConvergenceError, match="did not converge"):
-        svd(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-def _sign_convention_loop(u, sigma, vt):
-    # Per-column reference for the vectorised sign convention.
-    r = len(sigma)
-    for k in range(u.shape[0]):
-        j = int(np.argmax(np.abs(u[:, k])))
-        if u[j, k] < 0:
-            u[:, k] = -u[:, k]
-            if k < r:
-                vt[k, :] = -vt[k, :]
-    for k in range(r, vt.shape[0]):
-        j = int(np.argmax(np.abs(vt[k, :])))
-        if vt[k, j] < 0:
-            vt[k, :] = -vt[k, :]
-    return u, vt
-
-
-def test_sign_convention_matches_per_column_loop():
-    rng = np.random.default_rng(47)
-    shapes = [(1, 1), (1, 6), (6, 1), (3, 9), (9, 3), (12, 12)]
-    shapes += [tuple(int(d) for d in rng.integers(1, 13, size=2))
-               for _ in range(100)]
-    for m, n in shapes:
-        a = rng.standard_normal((m, n))
-        if rng.random() < 0.3:
-            a = np.outer(a[:, 0], a[0])  # rank one
-        u, sigma, vt = np.linalg.svd(a)
-        ref_u, ref_vt = _sign_convention_loop(u.copy(), sigma, vt.copy())
-        res = _apply_sign_convention(u, sigma, vt)
-        assert np.array_equal(res.u, ref_u), (m, n)
-        assert np.array_equal(res.vt, ref_vt), (m, n)
-
-
-def test_svd_deterministic():
-    rng = np.random.default_rng(31)
-    a = rng.standard_normal((9, 9))
-    r1, r2 = svd(a), svd(a)
-    assert np.array_equal(r1.u, r2.u)
-    assert np.array_equal(r1.sigma, r2.sigma)
-    assert np.array_equal(r1.vt, r2.vt)
+        assert np.allclose(lu_inverse(lu_inverse(a)), a, atol=1e-7)
 
 
 # ------------------------------------------------------------ top_singular_pair
 
 
+def random_psd(rng, n: int, rank: int | None = None) -> np.ndarray:
+    g = rng.standard_normal((n, n if rank is None else rank))
+    return g @ g.T
+
+
+def check_top_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """The top pair of ``a`` with its contract checked: unit norm, an
+    eigenpair to working precision, the largest singular value, and the
+    largest-magnitude entry of ``u1`` non-negative."""
+    sigma, u1 = top_singular_pair(a)
+    scale = max(1.0, float(np.max(np.abs(a))))
+    assert u1.shape == (a.shape[0],)
+    assert abs(np.linalg.norm(u1) - 1.0) <= 1e-12
+    assert np.linalg.norm(a @ u1 - sigma * u1) <= 1e-10 * scale
+    assert abs(sigma - np.linalg.svd(a, compute_uv=False)[0]) <= 1e-10 * scale
+    assert u1[int(np.argmax(np.abs(u1)))] >= 0.0
+    return sigma, u1
+
+
 def test_top_pair_rank_one_1x1():
-    sigma_sq, u1 = top_singular_pair(np.array([[25.0 / 81.0]]))
+    sigma_sq, u1 = check_top_pair(np.array([[25.0 / 81.0]]))
     assert sigma_sq == pytest.approx(25.0 / 81.0, abs=1e-15)
     assert np.allclose(u1, [1.0])
 
 
 def test_top_pair_diagonal():
-    sigma_sq, u1 = top_singular_pair(np.diag([4.0, 1.0]))
+    sigma_sq, u1 = check_top_pair(np.diag([4.0, 1.0]))
     assert sigma_sq == pytest.approx(4.0, abs=1e-14)
     assert np.allclose(u1, [1.0, 0.0], atol=1e-14)
+    sigma_sq, u1 = check_top_pair(np.diag([1.0, 3.0]))
+    assert sigma_sq == pytest.approx(3.0, abs=1e-14)
+    assert np.allclose(u1, [0.0, 1.0], atol=1e-14)
 
 
 def test_top_pair_outer_product():
     rng = np.random.default_rng(37)
     for _ in range(10):
         w = rng.standard_normal(6)
-        sigma_sq, u1 = top_singular_pair(np.outer(w, w))
+        sigma_sq, u1 = check_top_pair(np.outer(w, w))
         assert sigma_sq == pytest.approx(float(w @ w), rel=1e-12)
         aligned = min(np.max(np.abs(u1 - w / np.linalg.norm(w))),
                       np.max(np.abs(u1 + w / np.linalg.norm(w))))
@@ -342,13 +211,86 @@ def test_top_pair_outer_product():
 
 
 def test_top_pair_agrees_with_svd():
+    # second independent route: LAPACK's SVD through numpy; the sign of
+    # its vector is free, ours is fixed
     rng = np.random.default_rng(41)
-    g = rng.standard_normal((7, 7))
-    a = g @ g.T
+    for _ in range(50):
+        a = random_psd(rng, int(rng.integers(1, 16)))
+        sigma_sq, u1 = check_top_pair(a)
+        u, sigma, _ = np.linalg.svd(a)
+        assert abs(sigma_sq - sigma[0]) <= 1e-10 * max(1.0, sigma[0])
+        ref = u[:, 0] if u[np.argmax(np.abs(u[:, 0])), 0] >= 0 else -u[:, 0]
+        assert np.max(np.abs(u1 - ref)) <= 1e-9
+
+
+def test_top_pair_matches_power_iteration_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        a = random_psd(rng, 6)
+        sigma_sq, _ = check_top_pair(a)
+        assert sigma_sq == pytest.approx(power_iteration_eigs(a)[0], abs=1e-8)
+
+
+def test_top_pair_zero_and_rank_deficient():
+    sigma_sq, u1 = check_top_pair(np.zeros((4, 4)))
+    assert sigma_sq == 0.0
+    w = np.array([2.0, -1.0, 0.5])
+    sigma_sq, u1 = check_top_pair(np.outer(w, w))
+    assert sigma_sq == pytest.approx(float(w @ w), abs=1e-12)
+    assert np.max(np.abs(u1 - w / np.linalg.norm(w))) <= 1e-12
+    rng = np.random.default_rng(19)
+    for rank in (1, 2, 3):
+        check_top_pair(random_psd(rng, 7, rank))
+
+
+def test_top_pair_invariant_under_symmetric_permutation():
+    rng = np.random.default_rng(23)
+    a = random_psd(rng, 8)
     sigma_sq, u1 = top_singular_pair(a)
-    res = svd(a)
-    assert abs(sigma_sq - res.sigma[0]) <= 1e-9
-    assert np.max(np.abs(u1 - res.u[:, 0])) <= 1e-9
+    for _ in range(5):
+        perm = rng.permutation(8)
+        got_sq, got_u1 = top_singular_pair(a[np.ix_(perm, perm)])
+        assert abs(got_sq - sigma_sq) <= 1e-9 * sigma_sq
+        assert np.max(np.abs(got_u1 - u1[perm])) <= 1e-9
+
+
+def test_top_pair_sign_convention_holds_whatever_sign_lapack_returns(monkeypatch):
+    rng = np.random.default_rng(29)
+    a = random_psd(rng, 5)
+    want_sq, want_u1 = top_singular_pair(a)
+    eigh = np.linalg.eigh
+
+    def negated_eigh(m):
+        eigvals, eigvecs = eigh(m)
+        return eigvals, -eigvecs
+
+    monkeypatch.setattr(np.linalg, "eigh", negated_eigh)
+    got_sq, got_u1 = top_singular_pair(a)
+    assert got_sq == want_sq
+    assert np.array_equal(got_u1, want_u1)
+
+
+def test_top_pair_rejects_nonfinite():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            top_singular_pair(np.array([[1.0, bad], [bad, 1.0]]))
+
+
+def test_top_pair_nonconvergence_raises_convergence_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(SvdConvergenceError, match="did not converge"):
+        top_singular_pair(np.eye(2))
+
+
+def test_top_pair_deterministic():
+    rng = np.random.default_rng(31)
+    a = random_psd(rng, 9)
+    (s1, u1), (s2, u2) = top_singular_pair(a), top_singular_pair(a)
+    assert s1 == s2
+    assert np.array_equal(u1, u2)
 
 
 def test_top_pair_rejects_asymmetric():
