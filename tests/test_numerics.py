@@ -189,12 +189,23 @@ def test_top_pair_rank_one_1x1():
     assert np.allclose(u1, [1.0])
 
 
+def test_svd_rank_one_1x1():
+    sigma, _ = check_top_pair(np.array([[25.0 / 81.0]]))
+    assert sigma == pytest.approx(0.30864197530864196, abs=1e-15)
+
+
 def test_top_pair_diagonal():
     sigma_sq, u1 = check_top_pair(np.diag([4.0, 1.0]))
     assert sigma_sq == pytest.approx(4.0, abs=1e-14)
     assert np.allclose(u1, [1.0, 0.0], atol=1e-14)
-    sigma_sq, u1 = check_top_pair(np.diag([1.0, 3.0]))
-    assert sigma_sq == pytest.approx(3.0, abs=1e-14)
+
+
+def test_svd_diagonal():
+    sigma, u1 = check_top_pair(np.diag([3.0, 1.0]))
+    assert sigma == pytest.approx(3.0, abs=1e-14)
+    assert np.allclose(u1, [1.0, 0.0], atol=1e-14)
+    sigma, u1 = check_top_pair(np.diag([1.0, 3.0]))
+    assert sigma == pytest.approx(3.0, abs=1e-14)
     assert np.allclose(u1, [0.0, 1.0], atol=1e-14)
 
 
@@ -210,16 +221,30 @@ def test_top_pair_outer_product():
         assert np.linalg.norm(u1) == pytest.approx(1.0, abs=1e-12)
 
 
+def lapack_top_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """LAPACK's top singular pair through numpy, its vector's free sign
+    fixed by the rule ``top_singular_pair`` documents."""
+    u, sigma, _ = np.linalg.svd(a)
+    ref = u[:, 0] if u[np.argmax(np.abs(u[:, 0])), 0] >= 0 else -u[:, 0]
+    return float(sigma[0]), ref
+
+
 def test_top_pair_agrees_with_svd():
-    # second independent route: LAPACK's SVD through numpy; the sign of
-    # its vector is free, ours is fixed
-    rng = np.random.default_rng(41)
+    a = random_psd(np.random.default_rng(41), 7)
+    sigma_sq, u1 = check_top_pair(a)
+    sigma, ref = lapack_top_pair(a)
+    assert abs(sigma_sq - sigma) <= 1e-9
+    assert np.max(np.abs(u1 - ref)) <= 1e-9
+
+
+def test_svd_values_match_lapack():
+    # second independent route: LAPACK's SVD through numpy
+    rng = np.random.default_rng(18)
     for _ in range(50):
         a = random_psd(rng, int(rng.integers(1, 16)))
         sigma_sq, u1 = check_top_pair(a)
-        u, sigma, _ = np.linalg.svd(a)
-        assert abs(sigma_sq - sigma[0]) <= 1e-10 * max(1.0, sigma[0])
-        ref = u[:, 0] if u[np.argmax(np.abs(u[:, 0])), 0] >= 0 else -u[:, 0]
+        sigma, ref = lapack_top_pair(a)
+        assert abs(sigma_sq - sigma) <= 1e-10 * max(1.0, sigma)
         assert np.max(np.abs(u1 - ref)) <= 1e-9
 
 
