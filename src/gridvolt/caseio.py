@@ -401,30 +401,35 @@ class TraceRow:
     role: TraceRole
 
 
-def _trace_records(trace: "ControlTrace"):
-    """``(iteration, bus, voltage_pu, role)`` for every trace row, in
-    output order: the one classifier behind :func:`trace_rows` and
-    :func:`write_trace_csv`."""
+_ROLE_TEXT = {role: role.value for role in TraceRole}
+
+
+def _trace_snapshots(trace: "ControlTrace"):
+    """The bus ids in ascending order, and for every snapshot in output
+    order ``(iteration, voltages, roles)``, one entry per bus: the one
+    classifier behind :func:`trace_rows` and :func:`write_trace_csv`."""
     int_to_ext = trace.partition.int_to_ext
     pv_set = set(trace.partition.pv_idx)
     v_min, v_max = trace.config.v_min, trace.config.v_max
-    buses = [(idx, int_to_ext[idx], idx in pv_set) for idx in sorted(int_to_ext)]
+    order = sorted(int_to_ext)
+    ids = [int_to_ext[idx] for idx in order]
+    is_pv = [idx in pv_set for idx in order]
+    # locals: an enum member lookup per row costs more than the comparisons
+    pv, controlled_role = TraceRole.PV, TraceRole.CONTROLLED
+    pq, critical = TraceRole.PQ, TraceRole.CRITICAL
     snapshots = [(0, trace.initial_solution.vm, None)]
     snapshots += [(rec.index, rec.vm_after, rec.controlled_bus)
                   for rec in trace.iterations]
+    classified = []
     for iteration, vm, controlled in snapshots:
-        vm = vm.tolist()
-        for idx, bus_id, is_pv in buses:
-            v = vm[idx]
-            if is_pv:
-                role = TraceRole.PV
-            elif bus_id == controlled:
-                role = TraceRole.CONTROLLED
-            elif not (v_min <= v <= v_max):
-                role = TraceRole.CRITICAL
-            else:
-                role = TraceRole.PQ
-            yield iteration, bus_id, v, role
+        voltages = vm[order].tolist()
+        roles = [pv if is_pv_bus
+                 else controlled_role if bus_id == controlled
+                 else pq if v_min <= v <= v_max
+                 else critical
+                 for is_pv_bus, bus_id, v in zip(is_pv, ids, voltages)]
+        classified.append((iteration, voltages, roles))
+    return ids, classified
 
 
 def trace_rows(trace: "ControlTrace") -> list[TraceRow]:
@@ -435,16 +440,29 @@ def trace_rows(trace: "ControlTrace") -> list[TraceRow]:
     tagged ``controlled`` and any remaining out-of-limit load buses tagged
     ``critical``.
     """
-    return [TraceRow(*record) for record in _trace_records(trace)]
+    ids, snapshots = _trace_snapshots(trace)
+    return [TraceRow(iteration, bus_id, v, role)
+            for iteration, voltages, roles in snapshots
+            for bus_id, v, role in zip(ids, voltages, roles)]
 
 
 def write_trace_csv(trace: "ControlTrace") -> str:
     """Render a control trace as CSV (iterations ascending, buses ascending
-    within each iteration), one line per :func:`trace_rows` row."""
-    lines = ["iteration,bus,voltage_pu,role"]
-    lines += [f"{iteration},{bus},{format(v, '.10g')},{role.value}"
-              for iteration, bus, v, role in _trace_records(trace)]
-    return "\n".join(lines) + "\n"
+    within each iteration), one line per :func:`trace_rows` row.
+
+    Each snapshot is one ``%`` format: the bus columns are fixed per trace,
+    and every line starts with the iteration, so it joins them.
+    """
+    ids, snapshots = _trace_snapshots(trace)
+    columns = [f",{bus_id},%.10g,%s\n" for bus_id in ids]
+    values = [None] * (2 * len(ids))
+    out = ["iteration,bus,voltage_pu,role\n"]
+    for iteration, voltages, roles in snapshots:
+        head = str(iteration)
+        values[0::2] = voltages
+        values[1::2] = [_ROLE_TEXT[role] for role in roles]
+        out.append((head + head.join(columns)) % tuple(values))
+    return "".join(out)
 
 
 # The bundled cases by name, from one listing of the package data directory.

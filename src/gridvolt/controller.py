@@ -9,8 +9,12 @@ For the selector, N is ``a_k a_k^T`` and ``u1`` is the controlled bus's
 row ``a_k`` of A normalised, so no decomposition is needed. The step
 length makes the selected bus land on the reference in the linear
 model; set-points are clamped to the operating band afterwards.
-The loop repeats - re-solving the power flow, or propagating the linear
-model when configured - until no critical buses remain.
+The loop repeats until no critical buses remain. After each step the
+linear model predicts the new state: the set-points at the PV buses and
+the load voltages moved by ``A dv_pv``. That prediction is the evaluation
+when configured so; otherwise it is the start from which Newton corrects
+to the AC solution, as in the predictor-corrector scheme of continuation
+power flow.
 
 A single-generator baseline (move only the set-point the selected bus is
 most sensitive to) is provided for comparison, together with the achieved
@@ -351,11 +355,17 @@ def _run_loop(cfg: ControlConfig, method: str, step, system: NewtonSystem,
     """Iterate ``step`` (:func:`ovc_step` or :func:`svc_step`) from the
     solved start state; ``method`` labels the trace.
 
-    Each power-flow re-solve runs Newton on the prebuilt ``system`` moved
-    to the new set-points (:meth:`NewtonSystem.at`, which still rejects a
-    set-point outside (0, 2) pu), starting from the previous solution: a
-    set-point move is small, so that state is a closer start than the flat
-    one. No network is rebuilt, validated or re-assembled inside the loop.
+    Every step's state is first predicted by the linear model: the new
+    set-points at the PV buses and ``vm + predict_dvpq(model, dv_pv)`` at
+    the PQ buses. In ``EvaluationMode.LINEAR`` that prediction is the
+    evaluation. In ``POWER_FLOW`` it is Newton's start: the re-solve runs on
+    the prebuilt ``system`` moved to the new set-points
+    (:meth:`NewtonSystem.at`, which still rejects a set-point outside
+    (0, 2) pu), from the predicted magnitudes and the previous angles. The
+    prediction is a closer start than the previous solution, and it keeps
+    Newton on the flat start's solution where the previous state can lead
+    it to a low-voltage one. No network is rebuilt, validated or
+    re-assembled inside the loop.
     """
     part = model.partition
     vm = initial.vm.copy()
@@ -391,16 +401,15 @@ def _run_loop(cfg: ControlConfig, method: str, step, system: NewtonSystem,
             break
 
         setpoints = _current_setpoints(vm, model) + record.dv_pv
-        vm_before = vm.copy()
+        vm_before = vm
+        vm = vm.copy()
+        vm[list(part.pv_idx)] = setpoints
+        vm[list(part.pq_idx)] += predict_dvpq(model, record.dv_pv)
+        sol = replace(sol, vm=vm)
         if cfg.evaluation_mode is EvaluationMode.POWER_FLOW:
             sol = solve_newton(system.at(setpoints, start=sol),
                                tol=cfg.pf_tolerance)
             vm = sol.vm.copy()
-        else:
-            vm = vm.copy()
-            vm[list(part.pv_idx)] = setpoints
-            vm[list(part.pq_idx)] += predict_dvpq(model, record.dv_pv)
-            sol = replace(sol, vm=vm.copy())
 
         record = replace(record, vm_after=vm.copy())
         records.append(record)

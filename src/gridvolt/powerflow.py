@@ -17,8 +17,9 @@ validates and partitions it, assembles Ybus and the schedule, and cuts
 out the Ybus row blocks the Jacobian reads (the non-slack rows in the
 angle and the magnitude columns); :meth:`NewtonSystem.at` moves that
 system to other slack/PV set-points - all a control loop changes between
-re-solves - and can start it from an earlier solution instead of the flat
-start. :func:`solve_newton` iterates on a network or on such a system, so
+re-solves - and can start it from any state of the system, such as an
+earlier solution or a linear prediction, instead of the flat start.
+:func:`solve_newton` iterates on a network or on such a system, so
 every Newton solve runs through it. Each iteration forms one voltage
 vector, one injection ``Ybus v`` and one mismatch vector (the convergence
 measure and the right-hand side); the Jacobian is broadcast from the row
@@ -259,7 +260,7 @@ class NewtonSystem:
 
     ``vm0`` and ``va0`` are Newton's start: from :func:`newton_system` the
     flat start (slack/PV set-points and 1.0 pu at PQ buses, zero angles),
-    from :meth:`at` with a ``start`` that solution's state. ``pvpq``
+    from :meth:`at` with a ``start`` that state. ``pvpq``
     indexes the non-slack buses, ``pq`` the load buses and ``pv`` the
     slack and PV buses in ``partition.pv_idx`` order. The
     Jacobian reads Ybus only in the rows of ``pvpq``: ``y_va`` holds them in
@@ -267,7 +268,7 @@ class NewtonSystem:
     ``pq`` (the magnitude columns), and ``pq_pos`` gives each PQ bus's
     position within ``pvpq``. The arrays are read-only: one system serves
     any number of solves, and :meth:`at` shares all of them but ``vm0``
-    (and ``va0`` when it starts from a solution).
+    (and ``va0`` when it is given a start).
     """
 
     partition: BusPartition
@@ -290,10 +291,11 @@ class NewtonSystem:
         ``setpoints`` (in ``partition.pv_idx`` order): the system of the
         network rebuilt with those set-points, without rebuilding it.
 
-        With ``start`` - a solution of this system, typically at nearby
-        set-points - Newton starts from its angles and load-bus magnitudes
-        instead of the flat start; the slack and PV magnitudes are still
-        exactly ``setpoints``.
+        With ``start`` - a state of this system, such as a solution at
+        nearby set-points or a linear model's prediction at these (it need
+        not be converged) - Newton starts from its angles and load-bus
+        magnitudes instead of the flat start; the slack and PV magnitudes
+        are still exactly ``setpoints``.
 
         Raises ``ValueError`` for a wrong shape or a ``start`` over other
         buses, and ``NetworkError``, with
@@ -431,7 +433,7 @@ def solve_newton(net: Network | NewtonSystem, tol: float = PF_TOLERANCE,
     ``net`` may also be a prebuilt :class:`NewtonSystem`, which skips
     validation and assembly: to solve one network at several set-points,
     build it once with :func:`newton_system` and solve ``system.at(..)``,
-    optionally from a nearby solution (``system.at(.., start=sol)``).
+    optionally from a nearby state (``system.at(.., start=state)``).
     """
     system = net if isinstance(net, NewtonSystem) else newton_system(net)
     pvpq, pq = system.pvpq, system.pq

@@ -1,10 +1,11 @@
 import dataclasses
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridvolt import netmodel, numerics, powerflow
+from gridvolt import caseio, netmodel, numerics, powerflow
 from gridvolt.controller import (
     ControlConfig,
     ControllerError,
@@ -22,11 +23,12 @@ from gridvolt.controller import (
     svc_run,
     svc_step,
 )
-from gridvolt.sensitivity import build_model
+from gridvolt.sensitivity import build_model, predict_dvpq
 
 from conftest import classic_partition_23, three_bus_toy
 
 CFG = ControlConfig()
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -570,10 +572,9 @@ def test_ovc_run_builds_newton_system_once(scenario30, monkeypatch):
                      "validate_network": 1}
 
 
-def test_loop_re_solves_start_warm(scenario30, monkeypatch):
-    # the stress-case30-tight-band run: every re-solve starts from the
-    # previous solution and takes fewer Newton iterations in total than
-    # the same re-solves from the flat start, to the same voltages
+def _recorded_solves(monkeypatch) -> list:
+    """``(system, solution)`` of every Newton solve the controller makes,
+    in order: the initial solve, then one re-solve per iteration."""
     import gridvolt.controller as controller
 
     solves = []
@@ -584,21 +585,101 @@ def test_loop_re_solves_start_warm(scenario30, monkeypatch):
         return sol
 
     monkeypatch.setattr(controller, "solve_newton", recording)
+    return solves
+
+
+def _assert_re_solves_match_flat_start(solves, tol=powerflow.PF_TOLERANCE):
+    """Each re-solve reaches, to 1e-9 pu, the solution Newton finds from
+    the flat start at the same set-points; returns the iteration totals
+    ``(re-solves, flat starts)``."""
+    (base, _), *re_solves = solves
+    total = flat = 0
+    for system, sol in re_solves:
+        from_flat = powerflow.solve_newton(base.at(system.vm0[system.pv]), tol=tol)
+        assert np.max(np.abs(sol.vm - from_flat.vm)) <= 1e-9
+        total += sol.iterations
+        flat += from_flat.iterations
+    return total, flat
+
+
+def test_loop_re_solves_start_warm(scenario30, monkeypatch):
+    # the stress-case30-tight-band run: every re-solve starts from the
+    # linear model's prediction - the previous magnitudes moved by the
+    # set-point step at the PV buses and by predict_dvpq at the PQ buses,
+    # the previous angles - and takes fewer Newton iterations in total
+    # than the same re-solves from the flat start, to the same voltages
+    solves = _recorded_solves(monkeypatch)
     trace = ovc_run(scenario30, ControlConfig(v_min=0.97, v_max=1.03))
     (base, initial), *re_solves = solves
     assert len(re_solves) == len(trace.iterations) > 2
     assert trace.initial_solution is initial
-    warm = flat = 0
+    model = build_model(scenario30, base.partition)
+    pv, pq = list(base.partition.pv_idx), list(base.partition.pq_idx)
     previous = initial
-    for system, sol in re_solves:
+    for record, (system, sol) in zip(trace.iterations, re_solves):
+        predicted = previous.vm.copy()
+        predicted[pv] += record.dv_pv
+        predicted[pq] += predict_dvpq(model, record.dv_pv)
+        assert np.array_equal(system.vm0, predicted)
         assert np.array_equal(system.va0, previous.va)
-        setpoints = system.vm0[system.pv]
-        from_flat = powerflow.solve_newton(base.at(setpoints))
-        assert np.max(np.abs(sol.vm - from_flat.vm)) <= 1e-9
-        warm += sol.iterations
-        flat += from_flat.iterations
         previous = sol
-    assert (warm, flat) == (11, 24)
+    assert _assert_re_solves_match_flat_start(solves) == (8, 24)
+
+
+def test_re_solve_does_not_jump_to_a_low_voltage_solution(monkeypatch):
+    # case30 tiled twice, tie-lines of seed 6, with two disturbances: started
+    # from the previous solution, the first re-solve used to land on a
+    # low-voltage solution (min 0.324 pu, 6 iterations) while the flat start
+    # at the same set-points reaches min 0.790 pu; the linear prediction
+    # reaches the flat start's solution in 4 iterations
+    net = caseio.parse_json_case(
+        (DATA / "case30-tiled2-seed6.json").read_text(encoding="utf-8"))
+    net = netmodel.apply_disturbance(net, 59, 73.5)
+    net = netmodel.apply_disturbance(net, 46, -49.1)
+    solves = _recorded_solves(monkeypatch)
+    trace = ovc_run(net)
+    assert len(trace.iterations) == len(solves) - 1 > 0
+    _assert_re_solves_match_flat_start(solves)
+    first = solves[1][1]
+    assert first.iterations == 4
+    assert first.vm.min() == pytest.approx(0.790, abs=5e-4)
+
+
+# A tolerance well below the default: two solves that both just meet 1e-8 pu
+# of mismatch can differ by ~1e-8 pu in voltage, so comparing at 1e-9 pu
+# asks whether they reached the same solution, not the same round-off.
+SWEEP_TOLERANCE = 1e-10
+
+
+@pytest.mark.parametrize("name, disturbances", [
+    ("case9", [(9, 70.0)]),
+    ("case9", [(5, -90.0)]),
+    ("case9", [(7, 150.0)]),
+    ("case14", [(10, -46.4)]),
+    ("case14", [(14, 60.0)]),
+    ("case14", [(9, 90.0)]),
+    ("case30", [(8, 90.0), (25, -100.0)]),
+    ("case30", [(30, 40.0)]),
+    ("case30", [(19, -90.0)]),
+])
+def test_every_re_solve_reaches_the_flat_start_solution(all_cases, name,
+                                                        disturbances,
+                                                        monkeypatch):
+    net = netmodel.set_flat_setpoints(all_cases[name], 1.0)
+    for bus, mvar in disturbances:
+        net = netmodel.apply_disturbance(net, bus, mvar)
+    solves = _recorded_solves(monkeypatch)
+    n_re_solves = 0
+    for v_min, v_max in ((0.9, 1.1), (0.97, 1.03)):
+        cfg = ControlConfig(v_min=v_min, v_max=v_max,
+                            pf_tolerance=SWEEP_TOLERANCE)
+        for run in (ovc_run, svc_run):
+            solves.clear()
+            trace = run(net, cfg)
+            assert len(solves) == 1 + len(trace.iterations)
+            _assert_re_solves_match_flat_start(solves, SWEEP_TOLERANCE)
+            n_re_solves += len(trace.iterations)
+    assert n_re_solves > 0
 
 
 def test_unclamped_step_outside_setpoint_range_is_an_invalid_network(case30):
