@@ -14,7 +14,10 @@ linear model predicts the new state: the set-points at the PV buses and
 the load voltages moved by ``A dv_pv``. That prediction is the evaluation
 when configured so; otherwise it is the start from which Newton corrects
 to the AC solution, as in the predictor-corrector scheme of continuation
-power flow.
+power flow. The re-solves of one run take chord steps on a shared inverse
+Jacobian, formed at the first re-solve's start and refreshed only when the
+steps stop contracting: the constant-Jacobian idea of fast-decoupled load
+flow, with the exact mismatch still deciding convergence.
 
 A single-generator baseline (move only the set-point the selected bus is
 most sensitive to) is provided for comparison, together with the achieved
@@ -32,6 +35,7 @@ from .netmodel import BusPartition, Network
 from .numerics import top_singular_pair
 from .powerflow import (
     PF_TOLERANCE,
+    ChordFactor,
     NewtonSystem,
     PowerFlowSolution,
     newton_system,
@@ -364,8 +368,11 @@ def _run_loop(cfg: ControlConfig, method: str, step, system: NewtonSystem,
     (0, 2) pu), from the predicted magnitudes and the previous angles. The
     prediction is a closer start than the previous solution, and it keeps
     Newton on the flat start's solution where the previous state can lead
-    it to a low-voltage one. No network is rebuilt, validated or
-    re-assembled inside the loop.
+    it to a low-voltage one. The re-solves share one
+    :class:`~gridvolt.powerflow.ChordFactor`, so the inverse Jacobian formed
+    at the first re-solve's start serves every later one until a step stops
+    contracting. No network is rebuilt, validated or re-assembled inside
+    the loop.
     """
     part = model.partition
     vm = initial.vm.copy()
@@ -374,6 +381,7 @@ def _run_loop(cfg: ControlConfig, method: str, step, system: NewtonSystem,
     j_total = 0.0
     outcome = Outcome.ITERATION_CAP_HIT
     seen: dict[tuple[int, int], tuple[int, int]] = {}  # (cb, sign) -> (count, smallest |critical| seen)
+    chord = ChordFactor()
 
     for index in range(1, cfg.max_iterations + 1):
         critical = _critical_from_vm(vm, cfg, part)
@@ -408,7 +416,7 @@ def _run_loop(cfg: ControlConfig, method: str, step, system: NewtonSystem,
         sol = replace(sol, vm=vm)
         if cfg.evaluation_mode is EvaluationMode.POWER_FLOW:
             sol = solve_newton(system.at(setpoints, start=sol),
-                               tol=cfg.pf_tolerance)
+                               tol=cfg.pf_tolerance, chord=chord)
             vm = sol.vm.copy()
 
         record = replace(record, vm_after=vm.copy())

@@ -1,8 +1,11 @@
-"""Dense real linear algebra: LU solves and the top singular pair.
+"""Dense real linear algebra: LU solves, inverses and the top singular pair.
 
 Everything here is written against plain ``numpy.ndarray`` (row-major dense
-storage). One-shot solves (:func:`lu_solve`) use LAPACK's ``gesv``. The
-explicit factorization (:func:`lu_factor`) is implemented directly: its
+storage). One-shot solves (:func:`lu_solve`) use LAPACK's ``gesv``, and
+:func:`inverse` LAPACK's ``getrf``/``getri``: numpy exposes no LU factor to
+keep, so a matrix applied to many right-hand sides one at a time is
+inverted once and applied by matrix-vector products. The explicit
+factorization (:func:`lu_factor`) is implemented directly: its
 pivot threshold decides when a matrix counts as singular, and callers reuse
 one factorization for many solves. The top singular pair of a symmetric PSD
 matrix is its top eigenpair from LAPACK's symmetric eigensolver, with a
@@ -24,6 +27,7 @@ __all__ = [
     "SingularMatrixError",
     "SvdConvergenceError",
     "LuFactorization",
+    "inverse",
     "lu_factor",
     "lu_solve",
     "lu_solve_factored",
@@ -45,13 +49,29 @@ class SvdConvergenceError(RuntimeError):
     """LAPACK's symmetric eigensolver did not converge."""
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_square(a) -> np.ndarray:
     a = np.array(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
+    n, m = a.shape
+    if n != m:
+        raise ValueError(f"square matrix required, got {n}x{m}")
     return a
+
+
+def _lapack(fn, *args) -> np.ndarray:
+    """``fn(*args)`` with LAPACK's singular verdict and a non-finite result
+    (overflow past a tiny pivot) both raised as ``SingularMatrixError``."""
+    try:
+        x = fn(*args)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"singular matrix ({exc})") from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrixError("solution is not finite "
+                                  "(singular to working precision)")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,10 +83,8 @@ class LuFactorization:
 
 
 def lu_factor(a) -> LuFactorization:
-    a = _as_matrix(a)
-    n, m = a.shape
-    if n != m:
-        raise ValueError(f"square matrix required, got {n}x{m}")
+    a = _as_square(a)
+    n = a.shape[0]
     lu = a.copy()
     piv = np.arange(n)
     norm = float(np.max(np.sum(np.abs(a), axis=1))) if n else 0.0
@@ -117,21 +135,23 @@ def lu_solve(a, b) -> np.ndarray:
     or the solution is not finite. The ``LU_PIVOT_RTOL`` threshold and
     factor reuse belong to :func:`lu_factor`.
     """
-    a = _as_matrix(a)
-    n, m = a.shape
-    if n != m:
-        raise ValueError(f"square matrix required, got {n}x{m}")
+    a = _as_square(a)
+    n = a.shape[0]
     b = np.array(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"rhs has shape {b.shape}, expected {n} rows")
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"singular matrix ({exc})") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrixError("solution is not finite "
-                                  "(singular to working precision)")
-    return x
+    return _lapack(np.linalg.solve, a, b)
+
+
+def inverse(a) -> np.ndarray:
+    """Explicit inverse of ``a`` with LAPACK (``getrf``, then ``getri``),
+    for a matrix that is applied to many right-hand sides that arrive one
+    at a time.
+
+    Same checks and errors as :func:`lu_solve`: ``SingularMatrixError``
+    when LAPACK meets an exactly zero pivot or the inverse is not finite.
+    """
+    return _lapack(np.linalg.inv, _as_square(a))
 
 
 def top_singular_pair(a) -> tuple[float, np.ndarray]:
@@ -143,10 +163,7 @@ def top_singular_pair(a) -> tuple[float, np.ndarray]:
     The returned vector has unit norm, and its largest-magnitude entry is
     non-negative (the first such entry on a tie).
     """
-    a = _as_matrix(a)
-    n, m = a.shape
-    if n != m:
-        raise ValueError(f"square matrix required, got {n}x{m}")
+    a = _as_square(a)
     if a.size == 0:
         raise ValueError("empty matrix has no singular pair")
     asym = float(np.max(np.abs(a - a.T)))

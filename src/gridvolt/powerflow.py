@@ -26,7 +26,11 @@ measure and the right-hand side); the Jacobian is broadcast from the row
 blocks (MATPOWER's ``dSbus_dV``) into one real array. A backtracking line
 search keeps a step only if it does not raise the largest mismatch, so a
 solve that cannot converge stops with a bounded iterate instead of blowing
-up. The fast-decoupled solver starts from the same system.
+up. Solves given a :class:`ChordFactor` take chord steps instead: one
+inverse Jacobian, kept across solves, is applied by a matrix-vector product
+and formed again only when a step stops contracting, so the re-solves of a
+control loop share a few inverses where Newton would factor a Jacobian per
+iteration. The fast-decoupled solver starts from the same system.
 """
 
 from __future__ import annotations
@@ -47,18 +51,26 @@ from .netmodel import (
     bus_order,
     partition_buses,
 )
-from .numerics import lu_factor, lu_solve, lu_solve_factored
+from .numerics import (
+    SingularMatrixError,
+    inverse,
+    lu_factor,
+    lu_solve,
+    lu_solve_factored,
+)
 
 __all__ = [
     "PF_TOLERANCE",
     "NEWTON_MAX_ITER",
     "NEWTON_MAX_HALVINGS",
+    "CHORD_RHO",
     "FDLF_MAX_ITER",
     "AdmittanceMatrix",
     "PowerFlowSolution",
     "PowerFlowError",
     "PowerFlowDivergedError",
     "NewtonSystem",
+    "ChordFactor",
     "build_ybus",
     "build_bpp_full",
     "build_bprime_full",
@@ -71,6 +83,9 @@ __all__ = [
 PF_TOLERANCE = 1e-8
 NEWTON_MAX_ITER = 30
 NEWTON_MAX_HALVINGS = 12  # line search: shortest trial step is 2**-12 of Newton's
+# A chord step must cut the largest mismatch to this fraction, or the
+# re-used Jacobian inverse is refreshed.
+CHORD_RHO = 0.1
 FDLF_MAX_ITER = 60  # linear convergence rate needs more headroom
 
 
@@ -107,7 +122,10 @@ class PowerFlowSolution:
 
     ``mismatch_history`` is the solver's max mismatch (pu) at the start and
     after each iteration: ``iterations + 1`` entries, the last one
-    ``max_mismatch``.
+    ``max_mismatch``. ``jacobians`` counts the matrices the solve factored
+    or inverted: one Newton Jacobian per iteration from a plain start, fewer
+    when chord steps re-use one (:class:`ChordFactor`), and B' and B'' for
+    the fast-decoupled solver.
     """
 
     vm: np.ndarray
@@ -117,6 +135,7 @@ class PowerFlowSolution:
     max_mismatch: float
     ids: tuple[int, ...]
     mismatch_history: tuple[float, ...] = ()
+    jacobians: int = 0
 
     def index_of(self, bus_id: int) -> int:
         return self.ids.index(bus_id)
@@ -335,7 +354,7 @@ def newton_system(net: Network) -> NewtonSystem:
     p_sched, q_sched = _scheduled_injections(net, order)
     vm0 = _start_magnitudes(net, order)
     va0 = np.zeros(len(order))
-    pvpq = np.array([i for i in range(len(order)) if i != part.slack_idx], dtype=int)
+    pvpq = np.delete(np.arange(len(order)), part.slack_idx)
     pq = np.array(part.pq_idx, dtype=int)
     pv = np.array(part.pv_idx, dtype=int)
     y_va = ybus[np.ix_(pvpq, pvpq)]
@@ -395,8 +414,30 @@ def _jacobian(system: NewtonSystem, v, ibus) -> np.ndarray:
     return jac
 
 
+class ChordFactor:
+    """An inverse Newton Jacobian that :func:`solve_newton` re-uses across
+    iterations and across solves of one system: chord steps.
+
+    Empty at first; a solve given this holder forms the inverse at its
+    start and keeps it for as long as each step cuts the largest mismatch
+    to ``CHORD_RHO`` of what it was, then forms it again at the current
+    iterate. A control loop makes one holder and passes it to every
+    re-solve, so one inverse typically serves the whole run.
+    """
+
+    def __init__(self):
+        self.inverse: np.ndarray | None = None
+
+
+def _inverse_jacobian(system: NewtonSystem, v, ibus) -> np.ndarray:
+    try:
+        return inverse(_jacobian(system, v, ibus))
+    except SingularMatrixError as exc:
+        raise PowerFlowError(f"Newton Jacobian: {exc}") from exc
+
+
 def _finish(solver: str, vm, va, history: list[float], tol: float,
-            ids: tuple[int, ...]) -> PowerFlowSolution:
+            ids: tuple[int, ...], jacobians: int) -> PowerFlowSolution:
     """The solution after ``len(history) - 1`` iterations; raises
     :class:`PowerFlowDivergedError` with it unless the last mismatch is
     within ``tol``."""
@@ -404,7 +445,8 @@ def _finish(solver: str, vm, va, history: list[float], tol: float,
     solution = PowerFlowSolution(vm=vm, va=va, converged=worst <= tol,
                                  iterations=len(history) - 1,
                                  max_mismatch=worst, ids=ids,
-                                 mismatch_history=tuple(history))
+                                 mismatch_history=tuple(history),
+                                 jacobians=jacobians)
     if not solution.converged:
         raise PowerFlowDivergedError(
             f"{solver} did not converge in {solution.iterations} iterations "
@@ -413,7 +455,8 @@ def _finish(solver: str, vm, va, history: list[float], tol: float,
 
 
 def solve_newton(net: Network | NewtonSystem, tol: float = PF_TOLERANCE,
-                 max_iter: int = NEWTON_MAX_ITER) -> PowerFlowSolution:
+                 max_iter: int = NEWTON_MAX_ITER,
+                 chord: ChordFactor | None = None) -> PowerFlowSolution:
     """Full Newton-Raphson power flow in polar coordinates.
 
     Starts from the system's ``vm0``/``va0``: for a network, the flat start
@@ -434,17 +477,39 @@ def solve_newton(net: Network | NewtonSystem, tol: float = PF_TOLERANCE,
     validation and assembly: to solve one network at several set-points,
     build it once with :func:`newton_system` and solve ``system.at(..)``,
     optionally from a nearby state (``system.at(.., start=state)``).
+
+    Given a ``chord`` holder, the steps apply its inverse Jacobian, formed
+    at the start if the holder is empty (chord method; Kelley, *Iterative
+    Methods for Linear and Nonlinear Equations*, ch. 5). The inverse is
+    formed again at the current iterate after a step that cuts the largest
+    mismatch by less than ``CHORD_RHO``, and before a fresh step from the
+    same point when a step with an older inverse does not lower it at
+    all; only fresh steps are halved, so a divergence verdict comes from a
+    Jacobian of the current iterate, as without the holder. As chord steps
+    contract linearly, they iterate on to ``tol * CHORD_RHO**2``, but a
+    weak step at or below ``tol`` ends the solve (the round-off floor). A
+    singular Jacobian is a :class:`PowerFlowError` here.
     """
     system = net if isinstance(net, NewtonSystem) else newton_system(net)
     pvpq, pq = system.pvpq, system.pq
     vm, va = system.vm0.copy(), system.va0.copy()
     npvpq = len(pvpq)
+    target = tol if chord is None else tol * CHORD_RHO ** 2
+    jacobians = 0
 
     v, ibus, f = _mismatch(system, vm, va)
     history = [_max_abs(f)]
-    while history[-1] > tol and len(history) <= max_iter:
-        step = lu_solve(_jacobian(system, v, ibus), f)
-        for _ in range(NEWTON_MAX_HALVINGS + 1):
+    while history[-1] > target and len(history) <= max_iter:
+        if chord is None:
+            step = lu_solve(_jacobian(system, v, ibus), f)
+            fresh = True
+        else:
+            fresh = chord.inverse is None
+            if fresh:
+                chord.inverse = _inverse_jacobian(system, v, ibus)
+            step = chord.inverse @ f
+        jacobians += fresh
+        for _ in range(NEWTON_MAX_HALVINGS + 1 if fresh else 1):
             va_try = va.copy()
             vm_try = vm.copy()
             va_try[pvpq] += step[:npvpq]
@@ -455,11 +520,19 @@ def solve_newton(net: Network | NewtonSystem, tol: float = PF_TOLERANCE,
                 break
             step *= 0.5
         else:
-            break  # no step length lowers the mismatch
+            if fresh or history[-1] <= tol:
+                break  # no step length lowers the mismatch
+            chord.inverse = None  # stale: refresh here and step afresh
+            continue
         va, vm, v, ibus, f = va_try, vm_try, v_try, ibus_try, f_try
         history.append(worst)
+        if chord is not None and worst > CHORD_RHO * history[-2]:
+            if worst <= tol:
+                break
+            chord.inverse = None
 
-    return _finish("Newton power flow", vm, va, history, tol, system.ids)
+    return _finish("Newton power flow", vm, va, history, tol, system.ids,
+                   jacobians)
 
 
 def solve_fdlf(net: Network, tol: float = PF_TOLERANCE,
@@ -495,7 +568,7 @@ def solve_fdlf(net: Network, tol: float = PF_TOLERANCE,
         history.append(worst)
 
     return _finish("fast-decoupled power flow", vm, va, history, tol,
-                   system.ids)
+                   system.ids, 1 + (bpp_fac is not None))
 
 
 def bus_mismatch(net: Network, vm, va):

@@ -461,8 +461,10 @@ def test_both_steps_reject_a_pv_bus_alike(case9):
 
 def test_ovc_run_uses_no_full_inverse_and_no_svd(case30, monkeypatch):
     # the model is one B22 solve plus an n_pv x n_pv Schur factorization,
-    # and the selector direction is closed-form: a full inverse, an SVD or
-    # an eigensolver call on this path fails here, from numerics or direct
+    # and the selector direction is closed-form: an SVD or an eigensolver
+    # call on this path fails here, from numerics or direct, and so does
+    # any inverse but the re-solves' Newton Jacobians (none of B'', B22 or
+    # the Schur complement), one per Jacobian the re-solves record
     calls = {name: [] for name in ("svd", "inv", "eigh", "lu_factor",
                                    "lu_solve_factored")}
 
@@ -483,10 +485,14 @@ def test_ovc_run_uses_no_full_inverse_and_no_svd(case30, monkeypatch):
                 monkeypatch.setattr(module, name, counting(original, calls[name]))
     net = netmodel.apply_disturbance(netmodel.set_flat_setpoints(case30, 1.0),
                                      30, 20.0)
+    solves = _recorded_solves(monkeypatch)
     trace = ovc_run(net)
     n_pv = len(trace.partition.pv_idx)
+    n_jac = len(trace.partition.pq_idx) + len(trace.initial_solution.ids) - 1
     assert trace.iterations
-    assert calls["svd"] == [] and calls["inv"] == [] and calls["eigh"] == []
+    assert calls["svd"] == [] and calls["eigh"] == []
+    assert calls["inv"] and all(shape == (n_jac, n_jac) for shape in calls["inv"])
+    assert len(calls["inv"]) == sum(sol.jacobians for _, sol in solves[1:])
     assert calls["lu_factor"]
     assert all(shape == (n_pv, n_pv) for shape in calls["lu_factor"])
     assert calls["lu_solve_factored"]
@@ -590,24 +596,27 @@ def _recorded_solves(monkeypatch) -> list:
 
 def _assert_re_solves_match_flat_start(solves, tol=powerflow.PF_TOLERANCE):
     """Each re-solve reaches, to 1e-9 pu, the solution Newton finds from
-    the flat start at the same set-points; returns the iteration totals
-    ``(re-solves, flat starts)``."""
+    the flat start at the same set-points; returns the totals ``(iterations
+    of the re-solves, of the flat starts, Jacobians the re-solves factored,
+    the flat starts)``."""
     (base, _), *re_solves = solves
-    total = flat = 0
+    totals = np.zeros(4, dtype=int)
     for system, sol in re_solves:
         from_flat = powerflow.solve_newton(base.at(system.vm0[system.pv]), tol=tol)
         assert np.max(np.abs(sol.vm - from_flat.vm)) <= 1e-9
-        total += sol.iterations
-        flat += from_flat.iterations
-    return total, flat
+        totals += (sol.iterations, from_flat.iterations,
+                   sol.jacobians, from_flat.jacobians)
+    return tuple(totals.tolist())
 
 
 def test_loop_re_solves_start_warm(scenario30, monkeypatch):
     # the stress-case30-tight-band run: every re-solve starts from the
     # linear model's prediction - the previous magnitudes moved by the
     # set-point step at the PV buses and by predict_dvpq at the PQ buses,
-    # the previous angles - and takes fewer Newton iterations in total
-    # than the same re-solves from the flat start, to the same voltages
+    # the previous angles - and reaches the flat start's voltages; its
+    # chord steps take as many iterations in total as the flat starts'
+    # Newton steps, on one Jacobian inverse for all the re-solves instead
+    # of one Jacobian per iteration
     solves = _recorded_solves(monkeypatch)
     trace = ovc_run(scenario30, ControlConfig(v_min=0.97, v_max=1.03))
     (base, initial), *re_solves = solves
@@ -623,7 +632,7 @@ def test_loop_re_solves_start_warm(scenario30, monkeypatch):
         assert np.array_equal(system.vm0, predicted)
         assert np.array_equal(system.va0, previous.va)
         previous = sol
-    assert _assert_re_solves_match_flat_start(solves) == (8, 24)
+    assert _assert_re_solves_match_flat_start(solves) == (24, 24, 1, 24)
 
 
 def test_re_solve_does_not_jump_to_a_low_voltage_solution(monkeypatch):
@@ -631,7 +640,8 @@ def test_re_solve_does_not_jump_to_a_low_voltage_solution(monkeypatch):
     # from the previous solution, the first re-solve used to land on a
     # low-voltage solution (min 0.324 pu, 6 iterations) while the flat start
     # at the same set-points reaches min 0.790 pu; the linear prediction
-    # reaches the flat start's solution in 4 iterations
+    # reaches the flat start's solution, in 7 chord iterations on 2
+    # Jacobian inverses
     net = caseio.parse_json_case(
         (DATA / "case30-tiled2-seed6.json").read_text(encoding="utf-8"))
     net = netmodel.apply_disturbance(net, 59, 73.5)
@@ -639,10 +649,46 @@ def test_re_solve_does_not_jump_to_a_low_voltage_solution(monkeypatch):
     solves = _recorded_solves(monkeypatch)
     trace = ovc_run(net)
     assert len(trace.iterations) == len(solves) - 1 > 0
-    _assert_re_solves_match_flat_start(solves)
+    _, _, jacobians, flat_jacobians = _assert_re_solves_match_flat_start(solves)
+    assert jacobians < flat_jacobians
     first = solves[1][1]
-    assert first.iterations == 4
+    assert (first.iterations, first.jacobians) == (7, 2)
     assert first.vm.min() == pytest.approx(0.790, abs=5e-4)
+
+
+# loop-tiled operations whose re-solve has no power-flow solution: the
+# case30 tiled twice with the tie-lines of a grid seed, two disturbances, the
+# 0.97-1.03 pu band. Newton stalls at the re-solve's set-points from the
+# linear prediction, the previous solution and the flat start alike.
+DIVERGING_RUNS = {
+    "seed 9 op 201": ("case30-tiled2-seed5.json", [(26, 41.1), (54, -77.6)],
+                      ovc_run),
+    "seed 20 op 94": ("case30-tiled2-seed3.json", [(29, 71.9), (25, -36.1)],
+                      svc_run),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGING_RUNS))
+def test_loop_runs_with_no_re_solve_solution_still_diverge(name, monkeypatch):
+    # the verdict comes from a Jacobian of the iterate the solve stops at,
+    # never from a stale chord factor
+    path, disturbances, run = DIVERGING_RUNS[name]
+    net = caseio.parse_json_case((DATA / path).read_text(encoding="utf-8"))
+    for bus, mvar in disturbances:
+        net = netmodel.apply_disturbance(net, bus, mvar)
+    formed = []
+    original = powerflow._inverse_jacobian
+
+    def recording(system, v, ibus):
+        formed.append(v.copy())
+        return original(system, v, ibus)
+
+    monkeypatch.setattr(powerflow, "_inverse_jacobian", recording)
+    with pytest.raises(powerflow.PowerFlowDivergedError) as exc_info:
+        run(net, ControlConfig(v_min=0.97, v_max=1.03))
+    partial = exc_info.value.solution
+    assert partial.max_mismatch > 1e-3
+    assert np.array_equal(formed[-1], partial.vm * np.exp(1j * partial.va))
 
 
 # A tolerance well below the default: two solves that both just meet 1e-8 pu

@@ -4,6 +4,7 @@ import pytest
 from gridvolt.numerics import (
     SingularMatrixError,
     SvdConvergenceError,
+    inverse,
     lu_factor,
     lu_solve,
     lu_solve_factored,
@@ -159,6 +160,41 @@ def test_invert_twice_is_identity_map():
         n = int(rng.integers(2, 21))
         a = rng.standard_normal((n, n)) + n * np.eye(n)  # well-conditioned
         assert np.allclose(lu_inverse(lu_inverse(a)), a, atol=1e-7)
+
+
+# ------------------------------------------------- inverse through LAPACK
+
+
+def test_inverse_agrees_with_the_hand_factorization():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(1, 21))
+        a = rng.standard_normal((n, n)) + n * np.eye(n)  # well-conditioned
+        ref = lu_inverse(a)
+        assert np.max(np.abs(inverse(a) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.allclose(inverse([[15.0, -5.0], [-5.0, 9.0]]),
+                       np.array([[9.0, 5.0], [5.0, 15.0]]) / 110.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((3, 3)),
+    np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]]),
+    np.diag([1e-310, 1.0]),  # finite pivots, an inverse beyond float range
+])
+def test_inverse_of_singular_or_overflowing_matrix_raises_singular_error(a):
+    with pytest.raises(SingularMatrixError):
+        inverse(a)
+
+
+@pytest.mark.parametrize("a", [
+    np.ones((2, 3)),
+    np.ones(3),
+    np.array([[1.0, np.nan], [0.0, 1.0]]),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+])
+def test_inverse_rejects_bad_input(a):
+    with pytest.raises(ValueError):
+        inverse(a)
 
 
 # ------------------------------------------------------------ top_singular_pair

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridvolt import netmodel, powerflow
+from gridvolt import netmodel, numerics, powerflow
 from gridvolt.netmodel import Branch, Bus, BusKind, Generator, partition_buses
 from gridvolt.powerflow import (
+    ChordFactor,
     PowerFlowDivergedError,
     PowerFlowError,
     build_bpp_full,
@@ -724,3 +725,110 @@ def test_bundled_voltages_match_pinned_solution(scenarios, name):
     va = np.radians([row["va_deg"] for row in want])
     assert np.max(np.abs(sol.vm - vm)) <= 1e-10
     assert np.max(np.abs(sol.va - va)) <= 1e-10
+
+
+# ----------------------------------------------------------------- chord steps
+
+
+def inverse_jacobian_at(system, vm, va):
+    v, ibus, _ = powerflow._mismatch(system, vm, va)
+    return numerics.inverse(powerflow._jacobian(system, v, ibus))
+
+
+def far_off_inverse(system):
+    """The inverse Jacobian at a state far from any solution: 0.8 pu at the
+    load buses and -0.3 rad at every non-slack bus."""
+    vm, va = system.vm0.copy(), system.va0.copy()
+    vm[system.pq] = 0.8
+    va[system.pvpq] = -0.3
+    return inverse_jacobian_at(system, vm, va)
+
+
+def moved_setpoints(system, k):
+    return system.vm0[system.pv] + 0.02 * np.sin(np.arange(len(system.pv)) + k)
+
+
+def test_solutions_count_the_jacobians_they_factor(case30):
+    flat = solve_newton(case30)
+    assert flat.jacobians == flat.iterations > 0
+    assert solve_fdlf(case30).jacobians == 2  # B' and B''
+    system = newton_system(case30)
+    chord = ChordFactor()
+    sol = solve_newton(system.at(moved_setpoints(system, 0), start=flat),
+                       chord=chord)
+    assert sol.converged and chord.inverse is not None
+    assert 1 <= sol.jacobians < sol.iterations
+
+
+@pytest.mark.parametrize("name", ["case9", "case14", "case30"])
+def test_chord_refreshes_a_far_off_factor_and_reaches_the_flat_start_solution(
+        all_cases, name):
+    system = newton_system(all_cases[name])
+    start = solve_newton(system)
+    for k in range(3):
+        chord = ChordFactor()
+        far = chord.inverse = far_off_inverse(system)
+        sol = solve_newton(system.at(moved_setpoints(system, k), start=start),
+                           tol=1e-10, chord=chord)
+        flat = solve_newton(system.at(moved_setpoints(system, k)), tol=1e-10)
+        assert chord.inverse is not far and sol.jacobians >= 1
+        assert np.max(np.abs(sol.vm - flat.vm)) <= 1e-9
+        assert np.max(np.abs(sol.va - flat.va)) <= 1e-9
+
+
+@pytest.mark.parametrize("stale", ["negated", "shrunk", "far"])
+def test_a_stale_factor_alone_never_raises_divergence(case30, stale):
+    # a factor that steps uphill, one that barely moves and one from far
+    # away: each is refreshed, and every solve converges
+    system = newton_system(case30)
+    start = solve_newton(system)
+    exact = inverse_jacobian_at(system, start.vm, start.va)
+    seeded = {"negated": -exact, "shrunk": 1e-6 * exact,
+              "far": far_off_inverse(system)}[stale]
+    for k in range(3):
+        chord = ChordFactor()
+        chord.inverse = seeded
+        sol = solve_newton(system.at(moved_setpoints(system, k), start=start),
+                           chord=chord)
+        assert sol.converged and chord.inverse is not seeded
+        history = sol.mismatch_history
+        assert all(b <= a for a, b in zip(history, history[1:]))
+
+
+def test_chord_divergence_is_decided_at_a_fresh_jacobian(case9, monkeypatch):
+    # the +250 MVAr repro has no solution: the solve that ends it has just
+    # formed its inverse at the iterate it stops at
+    net = netmodel.apply_disturbance(netmodel.set_flat_setpoints(case9, 1.0),
+                                     9, 250.0)
+    system = newton_system(net)
+    formed = []
+    original = powerflow._inverse_jacobian
+
+    def recording(system, v, ibus):
+        formed.append(v.copy())
+        return original(system, v, ibus)
+
+    monkeypatch.setattr(powerflow, "_inverse_jacobian", recording)
+    chord = ChordFactor()
+    chord.inverse = far_off_inverse(system)
+    with pytest.raises(PowerFlowDivergedError) as exc_info:
+        solve_newton(system, chord=chord)
+    partial = exc_info.value.solution
+    assert np.array_equal(formed[-1], partial.vm * np.exp(1j * partial.va))
+    assert partial.jacobians == len(formed)
+    history = partial.mismatch_history
+    assert all(b <= a for a, b in zip(history, history[1:]))
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-310])
+def test_singular_or_overflowing_jacobian_inverse_is_a_power_flow_error(
+        case9, monkeypatch, scale):
+    # exactly singular, or an inverse beyond float range: an error, never a
+    # warning (warnings are errors in this suite)
+    system = newton_system(case9)
+    n = len(system.pvpq) + len(system.pq)
+    monkeypatch.setattr(powerflow, "_jacobian",
+                        lambda system, v, ibus: scale * np.eye(n))
+    with pytest.raises(PowerFlowError, match="^Newton Jacobian: ") as exc_info:
+        solve_newton(system, chord=ChordFactor())
+    assert isinstance(exc_info.value.__cause__, numerics.SingularMatrixError)
