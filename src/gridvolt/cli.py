@@ -147,7 +147,7 @@ def _sens_csv(net: Network) -> str:
     lines = ["matrix,row_bus,col_bus,value"]
     all_ids = model.pv_ids + model.pq_ids
     for name, matrix, row_ids, col_ids in (
-            ("s_vq", model.s_vq, all_ids, all_ids),
+            ("s_vq", sensitivity.full_sensitivity(model), all_ids, all_ids),
             ("a_ctrl", model.a_ctrl, model.pq_ids, model.pv_ids)):
         for ri, row in zip(row_ids, matrix.tolist()):
             lines += [f"{name},{ri},{cj},{format(v, '.10g')}"

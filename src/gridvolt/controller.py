@@ -27,6 +27,7 @@ weighted-quadratic performance index of each method.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,7 +96,8 @@ class ControlConfig:
     ``evaluation_mode`` picks the evaluator applied after each set-point
     update: a fresh power-flow solve, or the linear model as a fast
     approximation. ``clamp_pv`` keeps set-points inside
-    [``v_min``, ``v_max``] after each update.
+    [``v_min``, ``v_max``] after each update. ``pf_tolerance`` must be
+    finite and positive, and ``max_iterations`` at least 1.
     """
 
     v_ref: float = 1.0
@@ -111,6 +113,12 @@ class ControlConfig:
             raise ValueError(
                 f"need v_min < v_ref < v_max, got {self.v_min}, "
                 f"{self.v_ref}, {self.v_max}")
+        if not (math.isfinite(self.pf_tolerance) and self.pf_tolerance > 0):
+            raise ValueError("power-flow tolerance must be finite and "
+                             f"positive, got {self.pf_tolerance}")
+        if self.max_iterations < 1:
+            raise ValueError("need at least 1 control iteration, got "
+                             f"{self.max_iterations}")
 
 
 @dataclass(frozen=True, eq=False)

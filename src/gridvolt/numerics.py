@@ -4,12 +4,13 @@ Everything here is written against plain ``numpy.ndarray`` (row-major dense
 storage). One-shot solves (:func:`lu_solve`) use LAPACK's ``gesv``, and
 :func:`inverse` LAPACK's ``getrf``/``getri``: numpy exposes no LU factor to
 keep, so a matrix applied to many right-hand sides one at a time is
-inverted once and applied by matrix-vector products. The explicit
-factorization (:func:`lu_factor`) is implemented directly: its
-pivot threshold decides when a matrix counts as singular, and callers reuse
-one factorization for many solves. The top singular pair of a symmetric PSD
-matrix is its top eigenpair from LAPACK's symmetric eigensolver, with a
-fixed sign so results are reproducible.
+inverted once and applied by matrix-vector products. A constant matrix
+counts as singular when its 1-norm condition number reaches
+``1 / LU_PIVOT_RTOL`` (:func:`check_condition`). The hand-written
+factorization (:func:`lu_factor`, :func:`lu_solve_factored`) serves
+only the sensitivity model's small Schur complement. The top singular pair
+of a symmetric PSD matrix is its top eigenpair from LAPACK's symmetric
+eigensolver, with a fixed sign so results are reproducible.
 
 All tolerances are centralized below as named constants.
 """
@@ -27,6 +28,7 @@ __all__ = [
     "SingularMatrixError",
     "SvdConvergenceError",
     "LuFactorization",
+    "check_condition",
     "inverse",
     "lu_factor",
     "lu_solve",
@@ -34,7 +36,9 @@ __all__ = [
     "top_singular_pair",
 ]
 
-# Pivot smaller than this times ||a||_inf is treated as singular.
+# Pivot smaller than this times ||a||_inf is treated as singular by
+# lu_factor; a 1-norm condition number at or above its inverse by
+# check_condition.
 LU_PIVOT_RTOL = 1e-12
 # top_singular_pair input validation.
 SYMMETRY_ATOL = 1e-10
@@ -152,6 +156,18 @@ def inverse(a) -> np.ndarray:
     when LAPACK meets an exactly zero pivot or the inverse is not finite.
     """
     return _lapack(np.linalg.inv, _as_square(a))
+
+
+def check_condition(a, a_inv) -> None:
+    """Raise ``SingularMatrixError`` when ``a`` is singular to working
+    precision: when its 1-norm condition number ``||a||_1 ||a_inv||_1``,
+    with ``a_inv`` its computed inverse, is at or above ``1 / LU_PIVOT_RTOL``
+    (or overflows). An empty matrix passes."""
+    with np.errstate(over="ignore"):
+        cond = float(np.max(np.sum(np.abs(a), axis=0), initial=0.0)) * float(
+            np.max(np.sum(np.abs(a_inv), axis=0), initial=0.0))
+    if not cond < 1.0 / LU_PIVOT_RTOL:
+        raise SingularMatrixError(f"condition estimate >= {cond:.3e}")
 
 
 def top_singular_pair(a) -> tuple[float, np.ndarray]:

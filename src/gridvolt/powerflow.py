@@ -30,13 +30,15 @@ up. Solves given a :class:`ChordFactor` take chord steps instead: one
 inverse Jacobian, kept across solves, is applied by a matrix-vector product
 and formed again only when a step stops contracting, so the re-solves of a
 control loop share a few inverses where Newton would factor a Jacobian per
-iteration. The fast-decoupled solver starts from the same system.
+iteration. The fast-decoupled solver starts from the same system and inverts
+B' and B'' once. A singular matrix is a :class:`PowerFlowError` naming it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,13 +53,7 @@ from .netmodel import (
     bus_order,
     partition_buses,
 )
-from .numerics import (
-    SingularMatrixError,
-    inverse,
-    lu_factor,
-    lu_solve,
-    lu_solve_factored,
-)
+from .numerics import SingularMatrixError, check_condition, inverse, lu_solve
 
 __all__ = [
     "PF_TOLERANCE",
@@ -124,8 +120,8 @@ class PowerFlowSolution:
     after each iteration: ``iterations + 1`` entries, the last one
     ``max_mismatch``. ``jacobians`` counts the matrices the solve factored
     or inverted: one Newton Jacobian per iteration from a plain start, fewer
-    when chord steps re-use one (:class:`ChordFactor`), and B' and B'' for
-    the fast-decoupled solver.
+    when chord steps re-use one (:class:`ChordFactor`), and always 2 (B' and
+    B'') for the fast-decoupled solver.
     """
 
     vm: np.ndarray
@@ -429,11 +425,18 @@ class ChordFactor:
         self.inverse: np.ndarray | None = None
 
 
-def _inverse_jacobian(system: NewtonSystem, v, ibus) -> np.ndarray:
+@contextmanager
+def _singular_as_error(matrix: str):
+    """Re-raise a singular ``matrix`` as a PowerFlowError that names it."""
     try:
-        return inverse(_jacobian(system, v, ibus))
+        yield
     except SingularMatrixError as exc:
-        raise PowerFlowError(f"Newton Jacobian: {exc}") from exc
+        raise PowerFlowError(f"{matrix}: {exc}") from exc
+
+
+def _inverse_jacobian(system: NewtonSystem, v, ibus) -> np.ndarray:
+    with _singular_as_error("Newton Jacobian"):
+        return inverse(_jacobian(system, v, ibus))
 
 
 def _finish(solver: str, vm, va, history: list[float], tol: float,
@@ -488,7 +491,7 @@ def solve_newton(net: Network | NewtonSystem, tol: float = PF_TOLERANCE,
     Jacobian of the current iterate, as without the holder. As chord steps
     contract linearly, they iterate on to ``tol * CHORD_RHO**2``, but a
     weak step at or below ``tol`` ends the solve (the round-off floor). A
-    singular Jacobian is a :class:`PowerFlowError` here.
+    singular Jacobian is a :class:`PowerFlowError`, holder or not.
     """
     system = net if isinstance(net, NewtonSystem) else newton_system(net)
     pvpq, pq = system.pvpq, system.pq
@@ -501,7 +504,8 @@ def solve_newton(net: Network | NewtonSystem, tol: float = PF_TOLERANCE,
     history = [_max_abs(f)]
     while history[-1] > target and len(history) <= max_iter:
         if chord is None:
-            step = lu_solve(_jacobian(system, v, ibus), f)
+            with _singular_as_error("Newton Jacobian"):
+                step = lu_solve(_jacobian(system, v, ibus), f)
             fresh = True
         else:
             fresh = chord.inverse is None
@@ -540,7 +544,8 @@ def solve_fdlf(net: Network, tol: float = PF_TOLERANCE,
     """Fast-decoupled power flow (BX scheme, constant matrices).
 
     Same start and convergence contract as :func:`solve_newton`; the two
-    solvers agree to well below table precision on the bundled cases.
+    solvers agree to well below table precision on the bundled cases. B'
+    and B'' are inverted once and applied by matrix-vector products.
     """
     system = newton_system(net)
     pvpq, pq = system.pvpq, system.pq
@@ -548,27 +553,30 @@ def solve_fdlf(net: Network, tol: float = PF_TOLERANCE,
     npvpq = len(pvpq)
 
     branches = _Branches(net, system.partition.ext_to_int)
-    bp = branches.bprime()[np.ix_(pvpq, pvpq)]
-    bpp = branches.bpp()[np.ix_(pq, pq)]
-    bp_fac = lu_factor(bp)
-    bpp_fac = lu_factor(bpp) if len(pq) else None
+    inverses = []
+    for name, m in (("B'", branches.bprime()[np.ix_(pvpq, pvpq)]),
+                    ("B''", branches.bpp()[np.ix_(pq, pq)])):
+        with _singular_as_error(name):
+            inverses.append(inverse(m))
+            check_condition(m, inverses[-1])
+    bp_inv, bpp_inv = inverses
 
     _, _, f = _mismatch(system, vm, va)
     history = [_max_abs(f)]
     while history[-1] > tol and len(history) <= max_iter:
         # P half-iteration updates angles.
-        va[pvpq] += lu_solve_factored(bp_fac, f[:npvpq] / vm[pvpq])
+        va[pvpq] += bp_inv @ (f[:npvpq] / vm[pvpq])
         _, _, f = _mismatch(system, vm, va)
         worst = _max_abs(f)
         # Q half-iteration updates PQ magnitudes.
-        if worst > tol and bpp_fac is not None:
-            vm[pq] += lu_solve_factored(bpp_fac, f[npvpq:] / vm[pq])
+        if worst > tol:
+            vm[pq] += bpp_inv @ (f[npvpq:] / vm[pq])
             _, _, f = _mismatch(system, vm, va)
             worst = _max_abs(f)
         history.append(worst)
 
     return _finish("fast-decoupled power flow", vm, va, history, tol,
-                   system.ids, 1 + (bpp_fac is not None))
+                   system.ids, len(inverses))
 
 
 def bus_mismatch(net: Network, vm, va):

@@ -12,10 +12,10 @@ S12`` for uncontrolled reactive-demand changes.
 Block elimination of ``B'' = [[B11, B12], [B21, B22]]`` (pv block first)
 gives both without the full inverse: ``A = -inv(B22) B21`` and
 ``D = inv(B22)``, so one solve against the load block yields the whole
-control model. The blocks of ``S`` follow from the small Schur complement
-``C = B11 + B12 A``: ``S11 = inv(C)``, ``S21 = A S11``, ``S12 = S21^T``
-and ``S22 = D + S21 A^T``. The model depends only on topology, impedances
-and shunts, so it is built once per network, not per operating point.
+control model. The model keeps ``S11 = inv(C)`` of the small Schur
+complement ``C = B11 + B12 A``; :func:`full_sensitivity` adds ``S21 = A S11``,
+``S12 = S21^T`` and ``S22 = D + S21 A^T``. The model depends only on
+topology, impedances and shunts, so it is built once per network.
 """
 
 from __future__ import annotations
@@ -28,32 +28,27 @@ from .netmodel import BusPartition, Network, partition_buses
 from .numerics import (
     LU_PIVOT_RTOL,
     SingularMatrixError,
+    check_condition,
     lu_factor,
     lu_solve,
     lu_solve_factored,
 )
 from .powerflow import build_bpp_full
 
-__all__ = ["SensitivityModel", "build_bpp", "build_model", "predict_dvpq"]
+__all__ = ["SensitivityModel", "build_bpp", "build_model", "full_sensitivity",
+           "predict_dvpq"]
 
 
 @dataclass(frozen=True, eq=False)
 class SensitivityModel:
-    """B''-inverse sensitivity blocks for one network.
-
-    ``s_vq`` spans the partition's pv+pq coordinates (pu V per pu Q on the
-    system base), with blocks ``s11`` (PV x PV, ``inv(C)`` for the Schur
-    complement ``C = B11 + B12 a_ctrl``), ``s12``, ``s21`` and ``s22``.
-    ``a_ctrl = -inv(B22) B21`` is PQ x PV and ``d_gain = inv(B22)`` PQ x
-    PQ. ``pv_ids`` / ``pq_ids`` give the external bus ids of the block
-    coordinates.
+    """B''-inverse blocks for one network, in pu V per pu Q on the system
+    base: ``a_ctrl = -inv(B22) B21`` (PQ x PV), ``d_gain = inv(B22)``
+    (PQ x PQ) and ``s11 = inv(C)`` (PV x PV) for the Schur complement
+    ``C = B11 + B12 a_ctrl``. ``pv_ids`` / ``pq_ids`` give the external bus
+    ids of the block coordinates.
     """
 
-    s_vq: np.ndarray
     s11: np.ndarray
-    s12: np.ndarray
-    s21: np.ndarray
-    s22: np.ndarray
     a_ctrl: np.ndarray
     d_gain: np.ndarray
     partition: BusPartition
@@ -87,7 +82,7 @@ def build_bpp(net: Network, partition: BusPartition) -> np.ndarray:
 
 
 def build_model(net: Network, partition: BusPartition | None = None) -> SensitivityModel:
-    """Solve B'' by block elimination and assemble the sensitivity blocks.
+    """Solve B'' by block elimination for the sensitivity blocks.
 
     One solve against the load block ``B22`` gives ``a_ctrl`` and
     ``d_gain``; the Schur complement ``C = B11 + B12 a_ctrl`` is factored
@@ -105,18 +100,17 @@ def build_model(net: Network, partition: BusPartition | None = None) -> Sensitiv
 
     # det S11 = det B22 / det B'': with B'' nonsingular, S11 is singular
     # exactly when B22 is.
-    cond_floor = 1.0 / LU_PIVOT_RTOL
     try:
         x = lu_solve(b22, np.hstack([-b21, np.eye(len(b22))]))
     except SingularMatrixError as exc:
         raise SingularMatrixError(
-            f"S11 block is singular (condition estimate >= {cond_floor:.3e})"
-        ) from exc
+            "S11 block is singular (condition estimate >= "
+            f"{1.0 / LU_PIVOT_RTOL:.3e})") from exc
     a_ctrl, d_gain = x[:, :npv], x[:, npv:]
-    cond = float(np.linalg.norm(b22, 1) * np.linalg.norm(d_gain, 1))
-    if cond >= cond_floor:
-        raise SingularMatrixError(
-            f"S11 block is singular (condition estimate >= {cond:.3e})")
+    try:
+        check_condition(b22, d_gain)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"S11 block is singular ({exc})") from exc
 
     try:
         fac_c = lu_factor(b11 + b12 @ a_ctrl)
@@ -125,18 +119,21 @@ def build_model(net: Network, partition: BusPartition | None = None) -> Sensitiv
             f"B'' is singular ({exc}); isolated bus or degenerate network?"
         ) from exc
     s11 = lu_solve_factored(fac_c, np.eye(npv))
-    s21 = a_ctrl @ s11
-    s12 = s21.T
-    s22 = d_gain + s21 @ a_ctrl.T
-    s_vq = np.block([[s11, s12], [s21, s22]])
 
     int_to_ext = partition.int_to_ext
     return SensitivityModel(
-        s_vq=s_vq, s11=s11, s12=s12, s21=s21, s22=s22,
-        a_ctrl=a_ctrl, d_gain=d_gain, partition=partition,
+        s11=s11, a_ctrl=a_ctrl, d_gain=d_gain, partition=partition,
         pv_ids=tuple(int_to_ext[i] for i in partition.pv_idx),
         pq_ids=tuple(int_to_ext[i] for i in partition.pq_idx),
     )
+
+
+def full_sensitivity(model: SensitivityModel) -> np.ndarray:
+    """The whole ``S = inv(B'')`` over the pv+pq coordinates, pv first, from
+    the model's blocks (``--method sens`` reports it)."""
+    s21 = model.a_ctrl @ model.s11
+    s22 = model.d_gain + s21 @ model.a_ctrl.T
+    return np.block([[model.s11, s21.T], [s21, s22]])
 
 
 def predict_dvpq(model: SensitivityModel, dv_pv) -> np.ndarray:

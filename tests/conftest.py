@@ -122,6 +122,21 @@ def classic_partition_23() -> BusPartition:
                         ext_to_int={1: 0, 2: 1, 3: 2})
 
 
+def shunted_feeder(b_shunt_3: float) -> Network:
+    """Slack 1 - load 2 - load 3 over two x = 0.1 lines, a capacitive shunt
+    at bus 3. B22 = [[20, -10], [-10, 10 - 2 b]] with b = b_shunt_3 / 100,
+    singular at 250 MVAr although the full B'' is not."""
+    return Network(
+        base_mva=100.0,
+        buses=(Bus(id=1, kind=BusKind.SLACK, v_setpoint=1.0),
+               Bus(id=2, kind=BusKind.PQ),
+               Bus(id=3, kind=BusKind.PQ, b_shunt=b_shunt_3)),
+        branches=(Branch(from_bus=1, to_bus=2, r=0.0, x=0.1),
+                  Branch(from_bus=2, to_bus=3, r=0.0, x=0.1)),
+        generators=(Generator(bus=1, p_gen=0.0, v_setpoint=1.0),),
+    )
+
+
 def two_bus_voltage(q_pu: float, x: float = 0.1) -> float:
     """Closed-form load voltage of the lossless two-bus toy.
 

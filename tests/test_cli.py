@@ -5,9 +5,10 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from gridvolt import caseio, netmodel
+from gridvolt import caseio, netmodel, powerflow
 from gridvolt.cli import DATA_DIR_ENV, RunSpec, main, run
 from gridvolt.controller import ControlConfig
 
@@ -112,6 +113,37 @@ def test_bad_config_exits_1(capsys):
     code = main(["--case", "case9", "--method", "ovc", "--vref", "1.5"])
     assert code == 1
     assert "v_min < v_ref < v_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-1"),
+    ("--tolerance", "0"), ("--max-iterations", "-3"),
+    ("--max-iterations", "0"),
+])
+def test_meaningless_tolerance_or_cap_exits_1(capsys, flag, value):
+    # each used to run: nan ended "did not converge in 0 iterations", -1 and
+    # 0 ran to the cap at round-off, inf "resolved" the flat start, and a
+    # negative cap ended iteration_cap_hit
+    code = main(["--case", "case9", "--disturb", "9:+70", "--flat-setpoints",
+                 "1.0", "--method", "ovc", flag, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    want = (f"power-flow tolerance must be finite and positive, got "
+            f"{float(value)}" if flag == "--tolerance"
+            else f"need at least 1 control iteration, got {value}")
+    assert captured.err == f"error: {want}\n"
+
+
+def test_singular_jacobian_exits_1_naming_it(monkeypatch, capsys):
+    # the text names the matrix, as in a control loop's chord re-solves
+    def zero_jacobian(system, v, ibus):
+        return np.zeros((len(system.pvpq) + len(system.pq),) * 2)
+    monkeypatch.setattr(powerflow, "_jacobian", zero_jacobian)
+    code = main(["--case", "case9", "--method", "solve"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: Newton Jacobian: singular matrix (Singular matrix)\n")
 
 
 def test_bad_disturbance_syntax():

@@ -464,9 +464,10 @@ def test_ovc_run_uses_no_full_inverse_and_no_svd(case30, monkeypatch):
     # and the selector direction is closed-form: an SVD or an eigensolver
     # call on this path fails here, from numerics or direct, and so does
     # any inverse but the re-solves' Newton Jacobians (none of B'', B22 or
-    # the Schur complement), one per Jacobian the re-solves record
+    # the Schur complement), one per Jacobian the re-solves record; nor is
+    # the full inverse of B'' assembled from its blocks (np.block)
     calls = {name: [] for name in ("svd", "inv", "eigh", "lu_factor",
-                                   "lu_solve_factored")}
+                                   "lu_solve_factored", "block")}
 
     def counting(original, args):
         def wrapper(first, *rest, **kwargs):
@@ -476,6 +477,7 @@ def test_ovc_run_uses_no_full_inverse_and_no_svd(case30, monkeypatch):
     for name in ("svd", "inv", "eigh"):
         monkeypatch.setattr(np.linalg, name,
                             counting(getattr(np.linalg, name), calls[name]))
+    monkeypatch.setattr(np, "block", counting(np.block, calls["block"]))
     modules = [m for n, m in list(sys.modules.items())
                if n == "gridvolt" or n.startswith("gridvolt.")]
     for name in ("lu_factor", "lu_solve_factored"):
@@ -490,7 +492,7 @@ def test_ovc_run_uses_no_full_inverse_and_no_svd(case30, monkeypatch):
     n_pv = len(trace.partition.pv_idx)
     n_jac = len(trace.partition.pq_idx) + len(trace.initial_solution.ids) - 1
     assert trace.iterations
-    assert calls["svd"] == [] and calls["eigh"] == []
+    assert calls["svd"] == [] and calls["eigh"] == [] and calls["block"] == []
     assert calls["inv"] and all(shape == (n_jac, n_jac) for shape in calls["inv"])
     assert len(calls["inv"]) == sum(sol.jacobians for _, sol in solves[1:])
     assert calls["lu_factor"]

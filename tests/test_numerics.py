@@ -1,9 +1,16 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import gridvolt
+from gridvolt import numerics
 from gridvolt.numerics import (
+    LU_PIVOT_RTOL,
     SingularMatrixError,
     SvdConvergenceError,
+    check_condition,
     inverse,
     lu_factor,
     lu_solve,
@@ -195,6 +202,46 @@ def test_inverse_of_singular_or_overflowing_matrix_raises_singular_error(a):
 def test_inverse_rejects_bad_input(a):
     with pytest.raises(ValueError):
         inverse(a)
+
+
+# ------------------------------------------------------------ check_condition
+
+
+def test_check_condition_passes_a_well_conditioned_or_empty_matrix():
+    a = np.array([[4.0, 1.0], [2.0, 3.0]])
+    check_condition(a, inverse(a))
+    check_condition(np.eye(3), np.eye(3))
+    check_condition(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
+def test_check_condition_bound_is_the_pivot_tolerance():
+    # 1-norm condition number of diag(1, d) is 1/d
+    below = np.diag([1.0, 2.0 * LU_PIVOT_RTOL])
+    check_condition(below, inverse(below))
+    at = np.diag([1.0, LU_PIVOT_RTOL / 2.0])
+    with pytest.raises(SingularMatrixError,
+                       match=r"^condition estimate >= 2\.000e\+12$"):
+        check_condition(at, inverse(at))
+
+
+def test_check_condition_norm_overflow_is_singular_not_a_warning():
+    # every entry finite, the inverse's column sum beyond float range
+    a_inv = np.array([[1.5e308, 0.0], [1.5e308, 1.0]])
+    with pytest.raises(SingularMatrixError, match="condition estimate >= inf"):
+        check_condition(np.linalg.inv(a_inv), a_inv)
+
+
+def test_only_the_sensitivity_model_binds_the_hand_lu():
+    # the hand LU serves the model's Schur complement alone; every other
+    # solve goes to LAPACK
+    modules = [importlib.import_module(f"gridvolt.{info.name}")
+               for info in pkgutil.iter_modules(gridvolt.__path__)]
+    for name in ("lu_factor", "lu_solve_factored"):
+        binders = {m.__name__ for m in modules
+                   if m is not numerics and any(
+                       value is getattr(numerics, name)
+                       for value in vars(m).values())}
+        assert binders == {"gridvolt.sensitivity"}, name
 
 
 # ------------------------------------------------------------ top_singular_pair

@@ -22,7 +22,9 @@ from gridvolt.powerflow import (
     solve_newton,
 )
 
-from conftest import three_bus_toy, two_bus_toy, two_bus_voltage
+from conftest import shunted_feeder, three_bus_toy, two_bus_toy, two_bus_voltage
+
+DATA = Path(__file__).parent / "data"
 
 
 def max_nonslack_mismatch(net, sol):
@@ -403,19 +405,19 @@ def test_inductive_load_never_raises_local_voltage(all_cases):
 
 
 def test_newton_uses_no_hand_factorization(case30, monkeypatch):
-    from gridvolt import numerics
-
+    # nor does the fast-decoupled solver; that powerflow binds neither name
+    # itself is test_numerics' guard
     calls = []
-    original = numerics.lu_factor
+    for name in ("lu_factor", "lu_solve_factored"):
+        original = getattr(numerics, name)
 
-    def counting_lu_factor(a):
-        calls.append(np.shape(a))
-        return original(a)
-
-    monkeypatch.setattr(powerflow, "lu_factor", counting_lu_factor)
-    monkeypatch.setattr(numerics, "lu_factor", counting_lu_factor)
-    sol = solve_newton(case30)
-    assert sol.converged and sol.iterations > 0
+        def counting(*args, original=original):
+            calls.append(original.__name__)
+            return original(*args)
+        monkeypatch.setattr(numerics, name, counting)
+    for solver in (solve_newton, solve_fdlf):
+        sol = solver(case30)
+        assert sol.converged and sol.iterations > 0
     assert calls == []
 
 
@@ -425,7 +427,7 @@ def test_mismatch_dimension_check(case9):
 
 
 def test_solve_network_without_load_buses():
-    # both buses voltage-controlled: no reactive half-iteration at all
+    # both buses voltage-controlled: the reactive half-iteration moves nothing
     net = two_bus_toy()
     buses = (net.buses[0],
              dataclasses.replace(net.buses[1], kind=BusKind.PV,
@@ -438,6 +440,8 @@ def test_solve_network_without_load_buses():
         sol = solver(net)
         assert sol.converged
         assert sol.vm_at(2) == 1.02
+    # B'' is 0 x 0 here, and the fast-decoupled solver inverts it all the same
+    assert sol.iterations > 0 and sol.jacobians == 2
 
 
 # ----------------------------------------------------------- newton system
@@ -832,3 +836,60 @@ def test_singular_or_overflowing_jacobian_inverse_is_a_power_flow_error(
     with pytest.raises(PowerFlowError, match="^Newton Jacobian: ") as exc_info:
         solve_newton(system, chord=ChordFactor())
     assert isinstance(exc_info.value.__cause__, numerics.SingularMatrixError)
+
+
+def test_singular_jacobian_is_one_power_flow_error_with_or_without_chord(
+        case9, monkeypatch):
+    system = newton_system(case9)
+    n = len(system.pvpq) + len(system.pq)
+    monkeypatch.setattr(powerflow, "_jacobian",
+                        lambda system, v, ibus: np.zeros((n, n)))
+    texts = []
+    for chord in (None, ChordFactor()):
+        with pytest.raises(PowerFlowError, match="^Newton Jacobian: ") as exc:
+            solve_newton(system, chord=chord)
+        assert not isinstance(exc.value, PowerFlowDivergedError)
+        assert isinstance(exc.value.__cause__, numerics.SingularMatrixError)
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("b_shunt", [250.0, 250.0 + 1e-11])
+def test_fdlf_singular_bpp_is_a_power_flow_error(b_shunt):
+    # B'' over the load buses is singular, exactly or to working precision
+    with pytest.raises(PowerFlowError, match="^B'': ") as exc:
+        solve_fdlf(shunted_feeder(b_shunt))
+    assert isinstance(exc.value.__cause__, numerics.SingularMatrixError)
+
+
+@pytest.mark.parametrize("matrix", ["bprime", "bpp"])
+@pytest.mark.parametrize("how", ["zero", "tiny", "one tiny column"])
+def test_fdlf_singular_or_overflowing_matrix_is_a_power_flow_error(
+        case9, monkeypatch, matrix, how):
+    # exactly singular, an inverse beyond float range, or a condition
+    # number of ~1e200: an error naming the matrix, never a warning
+    # (warnings are errors in this suite)
+    original = getattr(powerflow._Branches, matrix)
+
+    def degenerate(self):
+        m = original(self)
+        if how == "one tiny column":
+            m[:, 3] *= 1e-200  # bus 4, a load bus
+            return m
+        return (0.0 if how == "zero" else 1e-310) * m
+    monkeypatch.setattr(powerflow._Branches, matrix, degenerate)
+    name = "B'" if matrix == "bprime" else "B''"
+    text = {"zero": "singular matrix", "tiny": "solution is not finite",
+            "one tiny column": "condition estimate >= "}[how]
+    with pytest.raises(PowerFlowError, match=f"^{name}: {text}"):
+        solve_fdlf(case9)
+
+
+def test_fdlf_matches_newton_on_a_tiled_grid():
+    from gridvolt import caseio
+    net = caseio.parse_json_case(
+        (DATA / "case30-tiled2-seed6.json").read_text(encoding="utf-8"))
+    sn, sf = solve_newton(net), solve_fdlf(net)
+    assert sf.converged and sf.jacobians == 2
+    assert np.max(np.abs(sn.vm - sf.vm)) <= 1e-6
+    assert np.max(np.abs(sn.va - sf.va)) <= 1e-6

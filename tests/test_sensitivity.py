@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 
 from gridvolt import controller, netmodel, powerflow, sensitivity
-from gridvolt.netmodel import (
-    Branch,
-    Bus,
-    BusKind,
-    Generator,
-    Network,
-    partition_buses,
-)
+from gridvolt.netmodel import partition_buses
 from gridvolt.numerics import SingularMatrixError, lu_factor, lu_solve_factored
-from gridvolt.sensitivity import build_bpp, build_model, predict_dvpq
+from gridvolt.sensitivity import (
+    build_bpp,
+    build_model,
+    full_sensitivity,
+    predict_dvpq,
+)
 
-from conftest import classic_partition_23, lu_inverse, three_bus_toy, two_bus_toy
+from conftest import (
+    classic_partition_23,
+    lu_inverse,
+    shunted_feeder,
+    three_bus_toy,
+    two_bus_toy,
+)
 
 
 def bump_setpoints(net, model, direction, eps):
@@ -56,12 +60,21 @@ def test_bpp_full_partition_order(case9):
 # ---------------------------------------------------------------- build_model
 
 
+def blocks(model):
+    """``full_sensitivity(model)`` and its four blocks, by name."""
+    s_vq = full_sensitivity(model)
+    npv = model.n_pv
+    return {"s_vq": s_vq, "s11": s_vq[:npv, :npv], "s12": s_vq[:npv, npv:],
+            "s21": s_vq[npv:, :npv], "s22": s_vq[npv:, npv:]}
+
+
 def test_model_three_bus_hand_values():
     model = build_model(three_bus_toy(), classic_partition_23())
-    assert np.allclose(model.s_vq, np.array([[9.0, 5.0], [5.0, 15.0]]) / 110.0,
+    s = blocks(model)
+    assert np.allclose(s["s_vq"], np.array([[9.0, 5.0], [5.0, 15.0]]) / 110.0,
                        atol=1e-14)
     assert model.s11[0, 0] == pytest.approx(9.0 / 110.0, abs=1e-14)
-    assert model.s21[0, 0] == pytest.approx(5.0 / 110.0, abs=1e-14)
+    assert s["s21"][0, 0] == pytest.approx(5.0 / 110.0, abs=1e-14)
     assert model.a_ctrl[0, 0] == pytest.approx(5.0 / 9.0, abs=1e-12)
     # 5/9 = b23 / (b23 + b13): the physical voltage divider
     assert model.a_ctrl[0, 0] == pytest.approx(5.0 / (5.0 + 4.0), abs=1e-12)
@@ -72,21 +85,25 @@ def test_model_three_bus_hand_values():
 def test_model_reconstruction_identity(all_cases):
     for name, net in all_cases.items():
         model = build_model(net)
-        assert np.max(np.abs(model.a_ctrl @ model.s11 - model.s21)) <= 1e-9, name
+        s21 = blocks(model)["s21"]
+        assert np.max(np.abs(model.a_ctrl @ model.s11 - s21)) <= 1e-9, name
 
 
 def test_model_svq_symmetric(all_cases):
     for name, net in all_cases.items():
-        model = build_model(net)
-        assert np.max(np.abs(model.s_vq - model.s_vq.T)) <= 1e-10, name
+        s_vq = full_sensitivity(build_model(net))
+        assert np.max(np.abs(s_vq - s_vq.T)) <= 1e-10, name
 
 
 def test_model_block_shapes(case14):
     model = build_model(case14)
+    s = blocks(model)
+    assert s["s_vq"].shape == (14, 14)
     assert model.s11.shape == (5, 5)
-    assert model.s12.shape == (5, 9)
-    assert model.s21.shape == (9, 5)
-    assert model.s22.shape == (9, 9)
+    assert s["s11"].shape == (5, 5)
+    assert s["s12"].shape == (5, 9)
+    assert s["s21"].shape == (9, 5)
+    assert s["s22"].shape == (9, 9)
     assert model.a_ctrl.shape == (9, 5)
     assert model.d_gain.shape == (9, 9)
 
@@ -135,26 +152,13 @@ def test_block_model_matches_full_inverse(all_cases, name):
                 netmodel.set_flat_setpoints(net, 1.0), 30, 20.0)
         part = partition_buses(net)
     model = build_model(net, part)
+    got_all = blocks(model) | {"a_ctrl": model.a_ctrl, "d_gain": model.d_gain}
+    assert np.array_equal(got_all["s11"], model.s11)
     want = invert_reference_model(net, part)
     for field, ref in want.items():
-        got = getattr(model, field)
+        got = got_all[field]
         assert got.shape == ref.shape, field
         assert rel_err(got, ref) <= 1e-12, field
-
-
-def shunted_feeder(b_shunt_3: float) -> Network:
-    """Slack 1 - load 2 - load 3 over two x = 0.1 lines, a capacitive shunt
-    at bus 3. B22 = [[20, -10], [-10, 10 - 2 b]] with b = b_shunt_3 / 100,
-    singular at 250 MVAr although the full B'' is not."""
-    return Network(
-        base_mva=100.0,
-        buses=(Bus(id=1, kind=BusKind.SLACK, v_setpoint=1.0),
-               Bus(id=2, kind=BusKind.PQ),
-               Bus(id=3, kind=BusKind.PQ, b_shunt=b_shunt_3)),
-        branches=(Branch(from_bus=1, to_bus=2, r=0.0, x=0.1),
-                  Branch(from_bus=2, to_bus=3, r=0.0, x=0.1)),
-        generators=(Generator(bus=1, p_gen=0.0, v_setpoint=1.0),),
-    )
 
 
 @pytest.mark.parametrize("b_shunt", [250.0, 250.0 + 1e-11])
