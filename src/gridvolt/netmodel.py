@@ -3,6 +3,18 @@
 All types are immutable values; every operation returns a new object and
 never mutates its input, so networks can be shared freely across threads.
 
+A :class:`Network` also carries a private memo: a cache of what the power
+flow and the sensitivity model derive from its branches, shunts, bus kinds
+and base MVA alone (Ybus, its Jacobian row blocks, the B'' model). It is
+shared by a family of networks: :func:`apply_disturbance` and
+:func:`set_flat_setpoints`, which change only loads and set-points, hand
+it on to their result; every other construction (parsing, ``Network(..)``,
+``dataclasses.replace``, pickling, copying) starts an empty one. Each entry
+is built on first use and never changes after, so the memo is invisible in
+results: it does not take part in equality or ``repr``. Two threads that
+first use a family at once may both build an entry; one of them is kept,
+and as both are equal and read-only, that race is benign.
+
 Conventions
 -----------
 * Loads are in physical units (MW / MVAr) on the network's MVA base;
@@ -96,17 +108,29 @@ class Generator:
 
 @dataclass(frozen=True)
 class Network:
-    """A complete per-unit network model."""
+    """A complete per-unit network model.
+
+    ``_memo`` is the family's cache (see the module notes); a pickled or
+    copied network comes back with an empty one.
+    """
 
     base_mva: float
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
     generators: tuple[Generator, ...]
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "buses", tuple(self.buses))
         object.__setattr__(self, "branches", tuple(self.branches))
         object.__setattr__(self, "generators", tuple(self.generators))
+
+    def __getstate__(self):
+        return {**self.__dict__, "_memo": {}}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _memo={})
 
     def bus(self, bus_id: int) -> Bus:
         for b in self.buses:
@@ -264,7 +288,11 @@ def partition_buses(net: Network) -> BusPartition:
     problems = validate_network(net)
     if problems:
         raise NetworkError("invalid network: " + "; ".join(problems))
+    return _split_buses(net)
 
+
+def _split_buses(net: Network) -> BusPartition:
+    """:func:`partition_buses` without the validation."""
     ext_to_int = bus_order(net)
     by_id = {b.id: b for b in net.buses}
     pv = []
@@ -295,7 +323,7 @@ def apply_disturbance(net: Network, bus: int, dq: float) -> Network:
     buses = tuple(
         replace(b, q_load=b.q_load + dq) if b.id == bus else b for b in net.buses
     )
-    return replace(net, buses=buses)
+    return _same_family(net, buses=buses)
 
 
 def set_flat_setpoints(net: Network, v: float) -> Network:
@@ -307,4 +335,12 @@ def set_flat_setpoints(net: Network, v: float) -> Network:
         for b in net.buses
     )
     gens = tuple(replace(g, v_setpoint=v) for g in net.generators)
-    return replace(net, buses=buses, generators=gens)
+    return _same_family(net, buses=buses, generators=gens)
+
+
+def _same_family(net: Network, **changes) -> Network:
+    """``replace(net, **changes)`` sharing ``net``'s memo: for changes to
+    loads and set-points only, which no memo entry depends on."""
+    derived = replace(net, **changes)
+    object.__setattr__(derived, "_memo", net._memo)
+    return derived

@@ -13,9 +13,11 @@ the control model, keeping solver and controller consistent.
 branch in scalar arithmetic, as an independent audit of either solver.
 
 Newton's set-up is built once per network: :func:`newton_system`
-validates and partitions it, assembles Ybus and the schedule, and cuts
-out the Ybus row blocks the Jacobian reads (the non-slack rows in the
-angle and the magnitude columns); :meth:`NewtonSystem.at` moves that
+validates and partitions it, assembles the schedule, and takes Ybus and
+the Ybus row blocks the Jacobian reads (the non-slack rows in the angle
+and the magnitude columns) from the network's memo, which builds them
+once for the family of networks that differ only in loads and set-points
+(see :mod:`gridvolt.netmodel`); :meth:`NewtonSystem.at` moves that
 system to other slack/PV set-points - all a control loop changes between
 re-solves - and can start it from any state of the system, such as an
 earlier solution or a linear prediction, instead of the flat start.
@@ -341,28 +343,39 @@ class NewtonSystem:
 def newton_system(net: Network) -> NewtonSystem:
     """Validate and partition ``net`` and assemble its Newton system.
 
-    Raises ``NetworkError`` for an invalid network and
-    :class:`PowerFlowError` for an in-service zero-impedance branch.
+    Ybus and its row blocks come from the network's memo, built on the
+    first call for any network of its family. Raises ``NetworkError`` for
+    an invalid network and :class:`PowerFlowError` for an in-service
+    zero-impedance branch.
     """
     part = partition_buses(net)
     order = part.ext_to_int
-    ybus = _Branches(net, order).ybus()
+    blocks = net._memo.get("newton")
+    if blocks is None:
+        blocks = net._memo.setdefault("newton", _load_free_blocks(net, part))
     p_sched, q_sched = _scheduled_injections(net, order)
     vm0 = _start_magnitudes(net, order)
     va0 = np.zeros(len(order))
-    pvpq = np.delete(np.arange(len(order)), part.slack_idx)
-    pq = np.array(part.pq_idx, dtype=int)
-    pv = np.array(part.pv_idx, dtype=int)
-    y_va = ybus[np.ix_(pvpq, pvpq)]
-    y_vm = ybus[np.ix_(pvpq, pq)]
-    pq_pos = np.searchsorted(pvpq, pq)
-    for arr in (ybus, p_sched, q_sched, vm0, va0, pvpq, pq, pv, y_va, y_vm,
-                pq_pos):
+    for arr in (p_sched, q_sched, vm0, va0):
         arr.flags.writeable = False
-    return NewtonSystem(partition=part, ybus=ybus, p_sched=p_sched,
-                        q_sched=q_sched, vm0=vm0, va0=va0, pvpq=pvpq, pq=pq,
-                        pv=pv, y_va=y_va, y_vm=y_vm, pq_pos=pq_pos,
-                        ids=tuple(sorted(order)))
+    return NewtonSystem(partition=part, p_sched=p_sched, q_sched=q_sched,
+                        vm0=vm0, va0=va0, ids=tuple(sorted(order)), **blocks)
+
+
+def _load_free_blocks(net: Network, part: BusPartition) -> dict:
+    """The read-only :class:`NewtonSystem` fields that do not depend on
+    loads or set-points: Ybus, the index arrays and the row blocks. A
+    network's family shares them (its memo's ``"newton"`` entry)."""
+    ybus = _Branches(net, part.ext_to_int).ybus()
+    pvpq = np.delete(np.arange(len(ybus)), part.slack_idx)
+    pq = np.array(part.pq_idx, dtype=int)
+    blocks = dict(ybus=ybus, pvpq=pvpq, pq=pq,
+                  pv=np.array(part.pv_idx, dtype=int),
+                  y_va=ybus[np.ix_(pvpq, pvpq)], y_vm=ybus[np.ix_(pvpq, pq)],
+                  pq_pos=np.searchsorted(pvpq, pq))
+    for arr in blocks.values():
+        arr.flags.writeable = False
+    return blocks
 
 
 def _mismatch(system: NewtonSystem, vm, va):
@@ -378,7 +391,8 @@ def _mismatch(system: NewtonSystem, vm, va):
 
 
 def _max_abs(f) -> float:
-    return float(np.max(np.abs(f), initial=0.0))
+    """Largest magnitude in ``f``, NaN if any entry is; 0.0 when empty."""
+    return float(np.abs(f).max()) if f.size else 0.0
 
 
 def _jacobian(system: NewtonSystem, v, ibus) -> np.ndarray:

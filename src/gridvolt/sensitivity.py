@@ -15,7 +15,11 @@ gives both without the full inverse: ``A = -inv(B22) B21`` and
 control model. The model keeps ``S11 = inv(C)`` of the small Schur
 complement ``C = B11 + B12 A``; :func:`full_sensitivity` adds ``S21 = A S11``,
 ``S12 = S21^T`` and ``S22 = D + S21 A^T``. The model depends only on
-topology, impedances and shunts, so it is built once per network.
+topology, impedances, shunts and bus kinds, never on loads or set-points,
+so it is built once per family of networks (see :mod:`gridvolt.netmodel`):
+the first :func:`build_model` for the network's own partition keeps it in
+the network's memo, and later calls for any network of the family read it.
+Its arrays are read-only, as the family shares them.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import BusPartition, Network, partition_buses
+from .netmodel import BusPartition, Network, _split_buses, partition_buses
 from .numerics import (
     LU_PIVOT_RTOL,
     SingularMatrixError,
@@ -44,8 +48,8 @@ class SensitivityModel:
     """B''-inverse blocks for one network, in pu V per pu Q on the system
     base: ``a_ctrl = -inv(B22) B21`` (PQ x PV), ``d_gain = inv(B22)``
     (PQ x PQ) and ``s11 = inv(C)`` (PV x PV) for the Schur complement
-    ``C = B11 + B12 a_ctrl``. ``pv_ids`` / ``pq_ids`` give the external bus
-    ids of the block coordinates.
+    ``C = B11 + B12 a_ctrl``, all read-only. ``pv_ids`` / ``pq_ids`` give
+    the external bus ids of the block coordinates.
     """
 
     s11: np.ndarray
@@ -90,9 +94,25 @@ def build_model(net: Network, partition: BusPartition | None = None) -> Sensitiv
     when B22 is singular (equivalently, when the PV block ``S11`` of the
     inverse is), reported with B22's 1-norm condition number, and when C
     and hence B'' is singular (degenerate network).
+
+    The model for the network's own partition (``partition`` None or equal
+    to :func:`~gridvolt.netmodel.partition_buses`'s) is kept in the
+    network's memo and returned as is for any network of its family; a
+    model for another partition is built on every call.
     """
     if partition is None:
         partition = partition_buses(net)
+    model = net._memo.get("model")
+    if model is not None and model.partition == partition:
+        return model
+    model = _block_model(net, partition)
+    if partition == _split_buses(net):
+        model = net._memo.setdefault("model", model)
+    return model
+
+
+def _block_model(net: Network, partition: BusPartition) -> SensitivityModel:
+    """:func:`build_model`'s block elimination, with no memo."""
     bpp = build_bpp(net, partition)
     npv = len(partition.pv_idx)
     b11, b12 = bpp[:npv, :npv], bpp[:npv, npv:]
@@ -106,6 +126,7 @@ def build_model(net: Network, partition: BusPartition | None = None) -> Sensitiv
         raise SingularMatrixError(
             "S11 block is singular (condition estimate >= "
             f"{1.0 / LU_PIVOT_RTOL:.3e})") from exc
+    x.flags.writeable = False
     a_ctrl, d_gain = x[:, :npv], x[:, npv:]
     try:
         check_condition(b22, d_gain)
@@ -119,6 +140,7 @@ def build_model(net: Network, partition: BusPartition | None = None) -> Sensitiv
             f"B'' is singular ({exc}); isolated bus or degenerate network?"
         ) from exc
     s11 = lu_solve_factored(fac_c, np.eye(npv))
+    s11.flags.writeable = False
 
     int_to_ext = partition.int_to_ext
     return SensitivityModel(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -19,6 +21,13 @@ settings.load_profile("ci")
 def load_case(name: str) -> Network:
     with open(caseio.bundled_case_path(name), encoding="utf-8") as fh:
         return caseio.parse_matpower_case(fh.read())
+
+
+def cold(net: Network) -> Network:
+    """``net`` as the first network of a new family: an equal network with
+    an empty memo, so a test that counts what a run builds or factors does
+    not depend on what earlier tests ran on the session's networks."""
+    return dataclasses.replace(net)
 
 
 @pytest.fixture(scope="session")

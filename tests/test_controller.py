@@ -25,7 +25,7 @@ from gridvolt.controller import (
 )
 from gridvolt.sensitivity import build_model, predict_dvpq
 
-from conftest import classic_partition_23, three_bus_toy
+from conftest import classic_partition_23, cold, three_bus_toy
 
 CFG = ControlConfig()
 DATA = Path(__file__).parent / "data"
@@ -485,8 +485,8 @@ def test_ovc_run_uses_no_full_inverse_and_no_svd(case30, monkeypatch):
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting(original, calls[name]))
-    net = netmodel.apply_disturbance(netmodel.set_flat_setpoints(case30, 1.0),
-                                     30, 20.0)
+    net = netmodel.apply_disturbance(
+        netmodel.set_flat_setpoints(cold(case30), 1.0), 30, 20.0)
     solves = _recorded_solves(monkeypatch)
     trace = ovc_run(net)
     n_pv = len(trace.partition.pv_idx)
@@ -551,7 +551,7 @@ def test_compare_builds_model_and_initial_state_once(scenario30, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(controller, name, counting(name))
-    compare_ovc_svc(scenario30)
+    compare_ovc_svc(cold(scenario30))
     # one system and one initial solve, then one re-solve per method
     assert calls == {"build_model": 1, "newton_system": 1, "solve_newton": 3}
 
@@ -848,3 +848,98 @@ def test_concurrent_runs_match_serial(scenarios):
             assert ra.controlled_bus == rb.controlled_bus
             assert np.array_equal(ra.vm_after, rb.vm_after)
             assert np.array_equal(ra.dv_pv, rb.dv_pv)
+
+
+# ------------------------------------------------------------------ family memo
+
+
+def _count_builds(monkeypatch) -> dict:
+    """Count hand-LU calls wherever gridvolt looks them up, and Ybus and
+    B'' assemblies."""
+    calls = {"lu_factor": 0, "lu_solve_factored": 0, "ybus": 0, "bpp": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+    modules = [m for n, m in list(sys.modules.items())
+               if n == "gridvolt" or n.startswith("gridvolt.")]
+    for name in ("lu_factor", "lu_solve_factored"):
+        original = getattr(numerics, name)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    for name in ("ybus", "bpp"):
+        monkeypatch.setattr(powerflow._Branches, name,
+                            counting(name, getattr(powerflow._Branches, name)))
+    return calls
+
+
+@pytest.mark.parametrize("run", [ovc_run, svc_run])
+def test_warm_family_builds_nothing_and_matches_a_cold_run(case30, run,
+                                                          monkeypatch):
+    base = netmodel.set_flat_setpoints(cold(case30), 1.0)
+    run(netmodel.apply_disturbance(base, 30, 20.0))
+    net = netmodel.apply_disturbance(base, 26, 30.0)
+    cfg = ControlConfig(v_min=0.97, v_max=1.03)
+    calls = _count_builds(monkeypatch)
+    warm = run(net, cfg)
+    assert len(warm.iterations) > 1
+    assert calls == {"lu_factor": 0, "lu_solve_factored": 0, "ybus": 0, "bpp": 0}
+    fresh = run(cold(net), cfg)
+    assert calls["lu_factor"] == 1 and calls["ybus"] == 1 and calls["bpp"] == 1
+    assert warm.outcome is fresh.outcome
+    assert warm.j_achieved_total == fresh.j_achieved_total
+    assert len(warm.iterations) == len(fresh.iterations)
+    for a, b in zip(warm.iterations, fresh.iterations):
+        assert np.array_equal(a.vm_after, b.vm_after)
+        assert np.array_equal(a.dv_pv, b.dv_pv)
+
+
+def test_warm_family_still_validates_every_network(case9):
+    base = netmodel.set_flat_setpoints(cold(case9), 1.0)
+    ovc_run(netmodel.apply_disturbance(base, 9, 70.0))
+    bad = netmodel.apply_disturbance(base, 9, float("nan"))
+    for use in (ovc_run, svc_run, compare_ovc_svc, powerflow.newton_system,
+                build_model):
+        with pytest.raises(netmodel.NetworkError,
+                           match="invalid network: bus 9: q_load nan"):
+            use(bad)
+
+
+def test_concurrent_first_use_of_a_family_keeps_one_of_each(case30):
+    # threads that first use one cold family at once may each build its
+    # entries; every thread must still end up with the one kept model and
+    # Ybus, and with the serial results
+    import threading
+
+    base = netmodel.set_flat_setpoints(cold(case30), 1.0)
+    nets = [netmodel.apply_disturbance(base, bus, 20.0)
+            for bus in (30, 26, 29, 24, 19, 30, 26, 29)]
+    serial = [ovc_run(cold(net)) for net in nets]
+    got = [None] * len(nets)
+
+    def work(i):
+        got[i] = (build_model(nets[i]), powerflow.newton_system(nets[i]).ybus,
+                  ovc_run(nets[i]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(nets))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(g is not None for g in got)
+    assert all(g[0] is build_model(base) for g in got)
+    assert all(g[1] is powerflow.newton_system(base).ybus for g in got)
+    for want, (_, _, trace) in zip(serial, got):
+        assert trace.outcome is want.outcome
+        assert trace.j_achieved_total == want.j_achieved_total
+        for a, b in zip(trace.iterations, want.iterations):
+            assert np.array_equal(a.vm_after, b.vm_after)

@@ -17,8 +17,9 @@ from gridvolt.netmodel import (
     set_flat_setpoints,
     validate_network,
 )
+from gridvolt.sensitivity import build_model
 
-from conftest import two_bus_toy
+from conftest import cold, two_bus_toy
 
 
 def test_validate_shipped_cases_clean(all_cases):
@@ -230,3 +231,37 @@ def test_network_types_are_immutable(case9):
         case9.buses[0].v_setpoint = 2.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         case9.base_mva = 50.0
+
+
+def _warm(net):
+    """``net`` with its family memo filled by a control model build."""
+    build_model(net)
+    assert net._memo
+    return net
+
+
+def test_disturbance_and_setpoints_keep_the_family_memo(case9):
+    base = _warm(cold(case9))
+    derived = netmodel.apply_disturbance(
+        netmodel.set_flat_setpoints(base, 1.02), 5, 10.0)
+    assert derived._memo is base._memo
+
+
+def test_other_constructions_start_an_empty_memo(case9):
+    base = _warm(cold(case9))
+    rebuilt = Network(base.base_mva, base.buses, base.branches, base.generators)
+    for other in (dataclasses.replace(base), rebuilt):
+        assert other == base and other._memo == {}
+        assert other._memo is not base._memo
+
+
+def test_pickle_and_deepcopy_leave_the_memo_behind(case9):
+    import copy
+    import pickle
+
+    base = _warm(cold(case9))
+    assert b"a_ctrl" not in pickle.dumps(base)
+    for other in (pickle.loads(pickle.dumps(base)), copy.deepcopy(base)):
+        assert other == base and other._memo == {}
+        assert hash(other) == hash(base)
+    assert base._memo

@@ -893,3 +893,10 @@ def test_fdlf_matches_newton_on_a_tiled_grid():
     assert sf.converged and sf.jacobians == 2
     assert np.max(np.abs(sn.vm - sf.vm)) <= 1e-6
     assert np.max(np.abs(sn.va - sf.va)) <= 1e-6
+
+
+def test_max_abs_propagates_nan_and_is_zero_when_empty():
+    assert powerflow._max_abs(np.array([0.5, -2.0, 1.0])) == 2.0
+    assert powerflow._max_abs(np.empty(0)) == 0.0
+    assert math.isnan(powerflow._max_abs(np.array([1.0, np.nan, -3.0])))
+    assert math.isnan(powerflow._max_abs(np.array([np.nan])))

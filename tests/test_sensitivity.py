@@ -17,6 +17,7 @@ from gridvolt.sensitivity import (
 
 from conftest import (
     classic_partition_23,
+    cold,
     lu_inverse,
     shunted_feeder,
     three_bus_toy,
@@ -262,3 +263,56 @@ def test_fd_validation_of_disturbance_gain(name, all_cases):
         actual = (sol.vm - base.vm)[pq]
         pred = eps * model.d_gain[:, model.pq_coord(int(bus))]
         assert np.max(np.abs(actual - pred)) / np.max(np.abs(pred)) <= 0.15
+
+
+# --- family memo ----------------------------------------------------------------
+
+
+def test_model_blocks_are_read_only(case14):
+    model = build_model(case14)
+    for name in ("s11", "a_ctrl", "d_gain"):
+        arr = getattr(model, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+    dv = np.linspace(-0.01, 0.01, model.n_pv)
+    assert np.array_equal(predict_dvpq(model, dv), model.a_ctrl @ dv)
+    assert full_sensitivity(model).flags.writeable
+
+
+def test_own_partition_model_is_kept_for_the_family(case14):
+    base = cold(case14)
+    model = build_model(base)
+    derived = netmodel.apply_disturbance(
+        netmodel.set_flat_setpoints(base, 1.01), 14, 20.0)
+    assert build_model(derived) is model
+    assert build_model(derived, partition_buses(derived)) is model
+    # another partition is solved afresh and does not displace the model
+    three = cold(three_bus_toy(b_charging=0.1))
+    own = build_model(three)
+    classic = build_model(three, classic_partition_23())
+    assert classic is not build_model(three, classic_partition_23())
+    assert build_model(three) is own
+
+
+@pytest.mark.parametrize("edit", ["x", "b_shunt"])
+def test_replaced_network_starts_a_new_family(case14, edit):
+    base = cold(case14)
+    base_model = build_model(base)
+    base_ybus = powerflow.newton_system(base).ybus
+    if edit == "x":
+        first = dataclasses.replace(base.branches[0], x=1.5 * base.branches[0].x)
+        net = dataclasses.replace(base, branches=(first,) + base.branches[1:])
+    else:
+        buses = tuple(dataclasses.replace(b, b_shunt=b.b_shunt + 25.0)
+                      if b.id == 14 else b for b in base.buses)
+        net = dataclasses.replace(base, buses=buses)
+    got, want = build_model(net), build_model(cold(net))
+    assert got is not base_model
+    for name in ("s11", "a_ctrl", "d_gain"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert not np.array_equal(full_sensitivity(got), full_sensitivity(base_model))
+    ybus = powerflow.newton_system(net).ybus
+    assert np.array_equal(ybus, powerflow.newton_system(cold(net)).ybus)
+    assert not np.array_equal(ybus, base_ybus)
