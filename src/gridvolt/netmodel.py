@@ -3,10 +3,11 @@
 All types are immutable values; every operation returns a new object and
 never mutates its input, so networks can be shared freely across threads.
 
-A :class:`Network` also carries a private memo: a cache of what the power
-flow and the sensitivity model derive from its branches, shunts, bus kinds
-and base MVA alone (Ybus, its Jacobian row blocks, the B'' model). It is
-shared by a family of networks: :func:`apply_disturbance` and
+A :class:`Network` also carries a private memo: a cache of what
+validation, the power flow and the sensitivity model derive from its
+branches, shunts, bus kinds and base MVA alone (that its structure is
+valid, its bus partition, Ybus, its Jacobian row blocks, the B'' model).
+It is shared by a family of networks: :func:`apply_disturbance` and
 :func:`set_flat_setpoints`, which change only loads and set-points, hand
 it on to their result; every other construction (parsing, ``Network(..)``,
 ``dataclasses.replace``, pickling, copying) starts an empty one. Each entry
@@ -199,7 +200,8 @@ def _setpoint_problem(bus_id: int, v: float) -> str | None:
     return f"bus {bus_id}: set-point {v} outside (0, 2) pu"
 
 
-_BUS_NUMBERS = ("p_load", "q_load", "g_shunt", "b_shunt", "v_min", "v_max")
+_LOAD_NUMBERS = ("p_load", "q_load")
+_BUS_NUMBERS = _LOAD_NUMBERS + ("g_shunt", "b_shunt", "v_min", "v_max")
 _BRANCH_NUMBERS = ("r", "x", "b_charging", "tap", "shift")
 
 
@@ -215,7 +217,15 @@ def validate_network(net: Network) -> list[str]:
 
     An empty report means the network is valid. Nothing is raised: callers
     decide whether to abort.
+
+    Once a network of a family has passed in full, its memo records that
+    the structure is valid, and later calls for the family check only what
+    a member can change: each bus's set-point range, then its loads'
+    finiteness. That gives the same report, in the same order, as the full
+    walk; a family whose structure never passed is walked in full.
     """
+    if net._memo.get("valid"):
+        return _member_problems(net)
     report: list[str] = []
     ids = [b.id for b in net.buses]
     id_set = set(ids)
@@ -277,13 +287,30 @@ def validate_network(net: Network) -> list[str]:
     if net.buses and not _connected(net):
         report.append("network is not connected over in-service branches")
 
+    if not report:
+        net._memo["valid"] = True
+    return report
+
+
+def _member_problems(net: Network) -> list[str]:
+    """:func:`validate_network` over the fields that :func:`apply_disturbance`
+    and :func:`set_flat_setpoints` change, for a family whose structure is
+    valid."""
+    report: list[str] = []
+    for b in net.buses:
+        problem = _setpoint_problem(b.id, b.v_setpoint)
+        if problem is not None:
+            report.append(problem)
+        if not math.isfinite(b.p_load + b.q_load):
+            report += _non_finite(f"bus {b.id}", b, _LOAD_NUMBERS)
     return report
 
 
 def partition_buses(net: Network) -> BusPartition:
     """Split buses into the voltage-controlled (slack + PV) and load sets.
 
-    Raises ``NetworkError`` when the network is invalid.
+    Raises ``NetworkError`` when the network is invalid. A valid network
+    gets its family's partition, the same object for every member.
     """
     problems = validate_network(net)
     if problems:
@@ -292,7 +319,11 @@ def partition_buses(net: Network) -> BusPartition:
 
 
 def _split_buses(net: Network) -> BusPartition:
-    """:func:`partition_buses` without the validation."""
+    """:func:`partition_buses` without the validation: the family's
+    partition, kept in its memo (it reads only bus ids and kinds)."""
+    part = net._memo.get("partition")
+    if part is not None:
+        return part
     ext_to_int = bus_order(net)
     by_id = {b.id: b for b in net.buses}
     pv = []
@@ -308,8 +339,9 @@ def _split_buses(net: Network) -> BusPartition:
             pv.append(idx)
         else:
             pq.append(idx)
-    return BusPartition(slack_idx=slack_idx, pv_idx=tuple(pv), pq_idx=tuple(pq),
-                        ext_to_int=ext_to_int)
+    return net._memo.setdefault("partition", BusPartition(
+        slack_idx=slack_idx, pv_idx=tuple(pv), pq_idx=tuple(pq),
+        ext_to_int=ext_to_int))
 
 
 def apply_disturbance(net: Network, bus: int, dq: float) -> Network:

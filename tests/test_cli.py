@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import re
 import subprocess
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gridvolt import caseio, netmodel, powerflow
+from gridvolt import caseio, cli, netmodel, powerflow
 from gridvolt.cli import DATA_DIR_ENV, RunSpec, main, run
 from gridvolt.controller import ControlConfig
 
@@ -17,6 +18,12 @@ from conftest import load_case
 
 def make_spec(**kwargs) -> RunSpec:
     return RunSpec(**kwargs)
+
+
+@pytest.fixture
+def cold_cache():
+    """An empty parsed-case cache, so the test's first run parses."""
+    cli._parse_cached.cache_clear()
 
 
 def test_solve_table(capsys):
@@ -70,12 +77,12 @@ def test_sens_dump(capsys):
     assert sum(1 for l in lines if l.startswith("a_ctrl,")) == 18
 
 
-def test_output_determinism():
+def test_output_determinism(cold_cache):
     spec = make_spec(case_path="case30", method="ovc",
                      disturbances=((8, 90.0), (25, -100.0)),
                      flat_setpoints=1.0)
-    first = run(spec)
-    second = run(spec)
+    first = run(spec)   # parses the case and builds its family
+    second = run(spec)  # reuses both
     assert first == second
     assert first.exit_code == 0
 
@@ -301,6 +308,9 @@ def test_nan_in_a_json_case_is_an_invalid_network(tmp_path, capsys):
 
 
 def test_nan_disturbance_is_an_invalid_network(capsys):
+    # after a valid run, the case's family checks members only
+    assert main(["--case", "case9", "--method", "solve"]) == 0
+    capsys.readouterr()
     assert main(["--case", "case9", "--disturb", "9:nan", "--method", "ovc"]) == 1
     assert capsys.readouterr().err == (
         "error: invalid network: bus 9: q_load nan is not finite\n")
@@ -391,9 +401,108 @@ def test_heavy_disturbance_ends_as_divergence(capsys):
 
 
 def test_unclamped_setpoint_outside_range_exits_1(capsys):
+    assert main(["--case", "case30", "--disturb", "14:-200",
+                 "--method", "solve"]) == 0
+    capsys.readouterr()
     code = main(["--case", "case30", "--disturb", "14:-200", "--method", "svc",
                  "--no-clamp"])
     assert code == 1
     assert re.fullmatch(r"error: invalid network: bus 13: set-point "
                         r"-0\.02628501\d* outside \(0, 2\) pu\n",
                         capsys.readouterr().err)
+
+
+# --- parsed-case cache -------------------------------------------------------
+
+def _counting_parses(monkeypatch) -> list:
+    """The sources ``caseio.parse_case`` is called on from now on."""
+    calls = []
+    original = caseio.parse_case
+    monkeypatch.setattr(caseio, "parse_case",
+                        lambda source: calls.append(source) or original(source))
+    return calls
+
+
+def _case9_text() -> str:
+    with open(caseio.bundled_case_path("case9"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_identical_case_text_is_parsed_once(cold_cache, monkeypatch):
+    parses = _counting_parses(monkeypatch)
+    spec = make_spec(case_path="case30", method="ovc",
+                     disturbances=((8, 90.0),))
+    first = run(spec)
+    second = run(spec)
+    assert first == second
+    assert len(parses) == 1
+
+
+def test_rewritten_case_file_is_parsed_again(cold_cache, monkeypatch, tmp_path):
+    parses = _counting_parses(monkeypatch)
+    path = tmp_path / "case9.m"
+    text = _case9_text()
+    spec = make_spec(case_path=str(path), method="solve", output="json")
+    path.write_text(text)
+    before = run(spec)
+    row = "\t5\t1\t90\t30\t"
+    assert row in text
+    path.write_text(text.replace(row, "\t5\t1\t90\t60\t"))
+    after = run(spec)
+    assert len(parses) == 2
+    assert after.exit_code == before.exit_code == 0
+    assert after != before
+    cli._parse_cached.cache_clear()
+    assert run(spec) == after
+
+
+def test_failed_parse_is_not_cached(cold_cache, monkeypatch, tmp_path):
+    parses = _counting_parses(monkeypatch)
+    path = tmp_path / "case9.m"
+    text = _case9_text()
+    spec = make_spec(case_path=str(path), method="solve")
+    path.write_text(text.replace("mpc.baseMVA = 100;", "mpc.baseMVA = ;"))
+    assert run(spec).exit_code == 1
+    path.write_text(text)
+    assert run(spec).exit_code == 0
+    assert run(spec).exit_code == 0
+    assert len(parses) == 2
+
+
+def test_least_recently_used_case_text_is_parsed_again(
+        cold_cache, monkeypatch, tmp_path):
+    parses = _counting_parses(monkeypatch)
+    text = _case9_text()
+    specs = []
+    for k in range(cli._CASE_CACHE_SIZE + 1):
+        path = tmp_path / f"case9-{k}.m"
+        path.write_text(text + f"% copy {k}\n")
+        specs.append(make_spec(case_path=str(path), method="solve"))
+    for spec in specs:
+        assert run(spec).exit_code == 0
+    assert len(parses) == len(specs)
+    assert run(specs[-1]).exit_code == 0  # still kept
+    assert len(parses) == len(specs)
+    assert run(specs[0]).exit_code == 0  # dropped by the last one
+    assert len(parses) == len(specs) + 1
+
+
+def test_parse_warnings_are_logged_once_per_case_text(
+        cold_cache, caplog, tmp_path):
+    path = tmp_path / "case9.m"
+    text = _case9_text()
+    assert "mpc.version" in text
+    spec = make_spec(case_path=str(path), method="solve")
+
+    def warned() -> int:
+        return sum(rec.getMessage() == "skipping unknown field mpc.version"
+                   for rec in caplog.records)
+
+    with caplog.at_level(logging.WARNING, logger="gridvolt.caseio"):
+        path.write_text(text)
+        run(spec)
+        run(spec)
+        assert warned() == 1
+        path.write_text(text + "% edited\n")
+        run(spec)
+        assert warned() == 2

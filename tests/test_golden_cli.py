@@ -1,9 +1,11 @@
 """Golden CLI outputs: the pinned reference behaviour of the command line.
 
-Each run below executes ``cli.main`` in-process and is checked against the
-files under ``tests/golden/``: ``status.json`` holds every run's exit code
-and stderr, ``<name>.out`` its stdout and ``<name>.trace.csv`` the file
-written by ``--trace``. Exit code, stderr, tables, CSV and the ``sens``
+Each run below executes ``cli.main`` in-process twice, cold (the case
+parsed afresh) and warm (its network and family reused), and each time is
+checked against the files under ``tests/golden/``; the two outputs must be
+byte-identical. ``status.json`` holds every run's exit code and stderr,
+``<name>.out`` its stdout and ``<name>.trace.csv`` the file written by
+``--trace``. Exit code, stderr, tables, CSV and the ``sens``
 dump must match byte for byte.
 
 JSON reports are compared as parsed documents: every non-float field
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from gridvolt import cli
 from gridvolt.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,17 +93,25 @@ def test_cli_output_matches_golden(name, tmp_path, capsys):
     if "--trace" in args:
         trace_path = tmp_path / "trace.csv"
         args[args.index("--trace") + 1] = str(trace_path)
-
-    code = main(args)
-    out, err = capsys.readouterr()
-
     want = _status()[name]
-    assert code == want["exit_code"]
-    assert err == want["stderr"]
     want_out = (GOLDEN / f"{name}.out").read_bytes()
-    if "json" in args:
-        assert_json_matches(json.loads(out), json.loads(want_out))
-    else:
-        assert out.encode("utf-8") == want_out
-    if trace_path is not None:
-        assert trace_path.read_bytes() == (GOLDEN / f"{name}.trace.csv").read_bytes()
+
+    # a cold run parses the case; the warm one reuses its network and family
+    cli._parse_cached.cache_clear()
+    outs = []
+    for run in ("cold", "warm"):
+        code = main(args)
+        out, err = capsys.readouterr()
+        outs.append(out)
+
+        assert code == want["exit_code"], run
+        assert err == want["stderr"], run
+        if "json" in args:
+            assert_json_matches(json.loads(out), json.loads(want_out))
+        else:
+            assert out.encode("utf-8") == want_out, run
+        if trace_path is not None:
+            assert trace_path.read_bytes() == (
+                GOLDEN / f"{name}.trace.csv").read_bytes(), run
+            trace_path.unlink()
+    assert outs[0] == outs[1]

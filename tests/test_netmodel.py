@@ -265,3 +265,54 @@ def test_pickle_and_deepcopy_leave_the_memo_behind(case9):
         assert other == base and other._memo == {}
         assert hash(other) == hash(base)
     assert base._memo
+
+
+def _with_setpoint(net, bus_id, v):
+    return dataclasses.replace(net, buses=tuple(
+        dataclasses.replace(b, v_setpoint=v) if b.id == bus_id else b
+        for b in net.buses))
+
+
+@given(v=st.floats(allow_nan=True, allow_infinity=True),
+       bus=st.sampled_from([4, 5, 6, 7, 8, 9]),
+       dq=st.one_of(st.floats(-300, 300), st.sampled_from(
+           [float("nan"), float("inf"), -float("inf")])))
+def test_member_report_equals_the_full_walk(case9, v, bus, dq):
+    # once a flat member has passed in full, the family is checked member
+    # by member; each report must still be the one a cold network gets
+    root = _with_setpoint(cold(case9), 2, v)
+    validate_network(root)
+    flat = set_flat_setpoints(root, 1.0)
+    assert validate_network(flat) == []
+    assert flat._memo["valid"]
+    for net in (root, flat, apply_disturbance(root, bus, dq),
+                apply_disturbance(flat, bus, dq)):
+        assert validate_network(net) == validate_network(cold(net))
+
+
+def test_structure_is_walked_once_per_valid_family(case9, monkeypatch):
+    calls = []
+    original = netmodel._connected
+    monkeypatch.setattr(netmodel, "_connected",
+                        lambda net: calls.append(net) or original(net))
+    base = cold(case9)
+    assert validate_network(base) == []
+    assert validate_network(apply_disturbance(base, 5, 40.0)) == []
+    assert len(calls) == 1
+    # an invalid structure is walked in full on every call
+    islanded = dataclasses.replace(base, branches=tuple(
+        dataclasses.replace(br, in_service=False)
+        if 9 in (br.from_bus, br.to_bus) else br for br in base.branches))
+    for net in (islanded, apply_disturbance(islanded, 5, 40.0)):
+        assert validate_network(net) == [
+            "network is not connected over in-service branches"]
+    assert len(calls) == 3
+    assert "valid" not in islanded._memo
+
+
+def test_partition_is_kept_for_the_family(case9):
+    base = cold(case9)
+    part = partition_buses(base)
+    derived = apply_disturbance(set_flat_setpoints(base, 1.02), 5, 10.0)
+    assert partition_buses(derived) is part
+    assert partition_buses(cold(derived)) == part
