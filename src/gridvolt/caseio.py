@@ -32,13 +32,11 @@ __all__ = [
     "CaseSource",
     "CaseFormatError",
     "SchemaError",
-    "TraceRow",
     "parse_case",
     "parse_matpower_case",
     "parse_json_case",
     "write_json_case",
     "write_trace_csv",
-    "trace_rows",
     "bundled_case_path",
 ]
 
@@ -386,81 +384,34 @@ def parse_json_case(text: str) -> Network:
 # Trace CSV
 
 
-class TraceRole(enum.Enum):
-    PV = "pv"
-    PQ = "pq"
-    CRITICAL = "critical"
-    CONTROLLED = "controlled"
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    iteration: int
-    bus: int
-    voltage_pu: float
-    role: TraceRole
-
-
-_ROLE_TEXT = {role: role.value for role in TraceRole}
-
-
-def _trace_snapshots(trace: "ControlTrace"):
-    """The bus ids in ascending order, and for every snapshot in output
-    order ``(iteration, voltages, roles)``, one entry per bus: the one
-    classifier behind :func:`trace_rows` and :func:`write_trace_csv`."""
-    int_to_ext = trace.partition.int_to_ext
-    pv_set = set(trace.partition.pv_idx)
-    v_min, v_max = trace.config.v_min, trace.config.v_max
-    order = sorted(int_to_ext)
-    ids = [int_to_ext[idx] for idx in order]
-    is_pv = [idx in pv_set for idx in order]
-    # locals: an enum member lookup per row costs more than the comparisons
-    pv, controlled_role = TraceRole.PV, TraceRole.CONTROLLED
-    pq, critical = TraceRole.PQ, TraceRole.CRITICAL
-    snapshots = [(0, trace.initial_solution.vm, None)]
-    snapshots += [(rec.index, rec.vm_after, rec.controlled_bus)
-                  for rec in trace.iterations]
-    classified = []
-    for iteration, vm, controlled in snapshots:
-        voltages = vm[order].tolist()
-        roles = [pv if is_pv_bus
-                 else controlled_role if bus_id == controlled
-                 else pq if v_min <= v <= v_max
-                 else critical
-                 for is_pv_bus, bus_id, v in zip(is_pv, ids, voltages)]
-        classified.append((iteration, voltages, roles))
-    return ids, classified
-
-
-def trace_rows(trace: "ControlTrace") -> list[TraceRow]:
-    """Flatten a control trace into one row per (iteration, bus).
+def write_trace_csv(trace: "ControlTrace") -> str:
+    """Render a control trace as CSV, one line per (iteration, bus):
+    iterations ascending, buses ascending within each iteration.
 
     Iteration 0 is the pre-control snapshot; iteration k reflects the state
     after the k-th set-point update, with that iteration's controlled bus
-    tagged ``controlled`` and any remaining out-of-limit load buses tagged
-    ``critical``.
-    """
-    ids, snapshots = _trace_snapshots(trace)
-    return [TraceRow(iteration, bus_id, v, role)
-            for iteration, voltages, roles in snapshots
-            for bus_id, v, role in zip(ids, voltages, roles)]
-
-
-def write_trace_csv(trace: "ControlTrace") -> str:
-    """Render a control trace as CSV (iterations ascending, buses ascending
-    within each iteration), one line per :func:`trace_rows` row.
+    tagged ``controlled`` and any remaining out-of-limit load bus tagged
+    ``critical``; the others are ``pv`` or ``pq``.
 
     Each snapshot is one ``%`` format: the bus columns are fixed per trace,
     and every line starts with the iteration, so it joins them.
     """
-    ids, snapshots = _trace_snapshots(trace)
+    ids, pv_set = trace.partition.ids, set(trace.partition.pv_idx)
+    is_pv = [idx in pv_set for idx in range(len(ids))]
+    v_min, v_max = trace.config.v_min, trace.config.v_max
     columns = [f",{bus_id},%.10g,%s\n" for bus_id in ids]
     values = [None] * (2 * len(ids))
+    snapshots = [(0, trace.initial_solution.vm, None)]
+    snapshots += [(rec.index, rec.vm_after, rec.controlled_bus)
+                  for rec in trace.iterations]
     out = ["iteration,bus,voltage_pu,role\n"]
-    for iteration, voltages, roles in snapshots:
+    for iteration, vm, controlled in snapshots:
         head = str(iteration)
+        voltages = vm.tolist()
         values[0::2] = voltages
-        values[1::2] = [_ROLE_TEXT[role] for role in roles]
+        values[1::2] = ["pv" if pv else "controlled" if bus_id == controlled
+                        else "pq" if v_min <= v <= v_max else "critical"
+                        for pv, bus_id, v in zip(is_pv, ids, voltages)]
         out.append((head + head.join(columns)) % tuple(values))
     return "".join(out)
 

@@ -38,7 +38,6 @@ from .controller import (
     ControlTrace,
     EvaluationMode,
     Outcome,
-    UncontrollableBusError,
     compare_ovc_svc,
     ovc_run,
     svc_run,
@@ -178,10 +177,9 @@ def _sens_csv(net: Network) -> str:
 
 
 def _render_trace(trace: ControlTrace, fmt: str) -> str:
-    part = trace.partition
-    int_to_ext = part.int_to_ext
     if fmt == "csv":
         return caseio.write_trace_csv(trace)
+    ids = trace.partition.ids
     if fmt == "json":
         doc = {
             "method": trace.method,
@@ -192,20 +190,17 @@ def _render_trace(trace: ControlTrace, fmt: str) -> str:
                  "controlled_bus": rec.controlled_bus,
                  "critical": [[b, v] for b, v in rec.critical_buses],
                  "clamped": list(rec.clamped),
-                 "vm_after": {str(int_to_ext[i]): float(rec.vm_after[i])
-                              for i in sorted(int_to_ext)}}
+                 "vm_after": dict(zip(map(str, ids), rec.vm_after.tolist()))}
                 for rec in trace.iterations
             ],
         }
         return json.dumps(doc, indent=2) + "\n"
     header = "Bus   Before" + "".join(f"   Iter {r.index}" for r in trace.iterations)
     lines = [header]
-    for idx in sorted(int_to_ext):
-        bus_id = int_to_ext[idx]
-        row = f"{bus_id:>3}   {_fmt_v(trace.initial_solution.vm[idx])}"
-        for rec in trace.iterations:
-            row += f"   {_fmt_v(rec.vm_after[idx])}"
-        lines.append(row)
+    snapshots = [trace.initial_solution.vm.tolist()]
+    snapshots += [rec.vm_after.tolist() for rec in trace.iterations]
+    for bus_id, *vms in zip(ids, *snapshots):
+        lines.append(f"{bus_id:>3}   " + "   ".join(map(_fmt_v, vms)))
     lines.append("")
     for rec in trace.iterations:
         crit = ", ".join(f"{b}@{_fmt_v(v)}" for b, v in rec.critical_buses)
@@ -270,8 +265,6 @@ def run(spec: RunSpec) -> RunResult:
                     fh.write(caseio.write_trace_csv(report.ovc_trace))
             return RunResult(0, out)
         return RunResult(1, "", f"error: unknown method {spec.method!r}\n")
-    except UncontrollableBusError as exc:
-        return RunResult(3, "", f"error: {exc}\n")
     except powerflow.PowerFlowDivergedError as exc:
         return RunResult(2, "", f"error: {exc}\n")
     except (powerflow.PowerFlowError, RuntimeError, ValueError) as exc:

@@ -167,12 +167,12 @@ class ComparisonReport:
 
 def _critical_from_vm(vm, cfg: ControlConfig,
                       partition: BusPartition) -> list[tuple[int, float]]:
-    int_to_ext = partition.int_to_ext
+    ids = partition.ids
     found = []
     for idx in partition.pq_idx:
         v = float(vm[idx])
         if v < cfg.v_min or v > cfg.v_max:
-            found.append((int_to_ext[idx], v))
+            found.append((ids[idx], v))
     found.sort(key=lambda pair: pair[0])
     return found
 

@@ -165,8 +165,9 @@ class BusPartition:
             raise NetworkError("pv and pq index sets overlap")
 
     @cached_property
-    def int_to_ext(self) -> dict[int, int]:
-        return {i: e for e, i in self.ext_to_int.items()}
+    def ids(self) -> tuple[int, ...]:
+        """External bus ids by internal index: index ``i`` is bus ``ids[i]``."""
+        return tuple(sorted(self.ext_to_int, key=self.ext_to_int.__getitem__))
 
 
 def bus_order(net: Network) -> dict[int, int]:

@@ -1,8 +1,8 @@
 """Dense real linear algebra: LU solves, inverses and the top singular pair.
 
 Everything here is written against plain ``numpy.ndarray`` (row-major dense
-storage). One-shot solves (:func:`lu_solve`) use LAPACK's ``gesv``, and
-:func:`inverse` LAPACK's ``getrf``/``getri``: numpy exposes no LU factor to
+storage). One-shot solves (:func:`lu_solve`) use LAPACK's ``gesv``, and so
+does :func:`inverse`, against the identity: numpy exposes no LU factor to
 keep, so a matrix applied to many right-hand sides one at a time is
 inverted once and applied by matrix-vector products. A constant matrix
 counts as singular when its 1-norm condition number reaches
@@ -148,9 +148,9 @@ def lu_solve(a, b) -> np.ndarray:
 
 
 def inverse(a) -> np.ndarray:
-    """Explicit inverse of ``a`` with LAPACK (``getrf``, then ``getri``),
-    for a matrix that is applied to many right-hand sides that arrive one
-    at a time.
+    """Explicit inverse of ``a`` with LAPACK (numpy's ``inv`` is ``gesv``
+    against the identity), for a matrix that is applied to many right-hand
+    sides that arrive one at a time.
 
     Same checks and errors as :func:`lu_solve`: ``SingularMatrixError``
     when LAPACK meets an exactly zero pivot or the inverse is not finite.

@@ -14,12 +14,15 @@ gives both without the full inverse: ``A = -inv(B22) B21`` and
 ``D = inv(B22)``, so one solve against the load block yields the whole
 control model. The model keeps ``S11 = inv(C)`` of the small Schur
 complement ``C = B11 + B12 A``; :func:`full_sensitivity` adds ``S21 = A S11``,
-``S12 = S21^T`` and ``S22 = D + S21 A^T``. The model depends only on
-topology, impedances, shunts and bus kinds, never on loads or set-points,
-so it is built once per family of networks (see :mod:`gridvolt.netmodel`):
-the first :func:`build_model` for the network's own partition keeps it in
-the network's memo, and later calls for any network of the family read it.
-Its arrays are read-only, as the family shares them.
+``S12 = S21^T`` and ``S22 = D + S21 A^T``. C is singular exactly when B''
+is (a network with no line charging and no shunts, say); the control law
+still has ``A``, and only the full inverse is refused. The model depends
+only on topology, impedances, shunts and bus kinds, never on loads or
+set-points, so it is built once per family of networks (see
+:mod:`gridvolt.netmodel`): the first :func:`build_model` for the network's
+own partition keeps it in the network's memo, and later calls for any
+network of the family read it. Its arrays are read-only, as the family
+shares them.
 """
 
 from __future__ import annotations
@@ -48,11 +51,12 @@ class SensitivityModel:
     """B''-inverse blocks for one network, in pu V per pu Q on the system
     base: ``a_ctrl = -inv(B22) B21`` (PQ x PV), ``d_gain = inv(B22)``
     (PQ x PQ) and ``s11 = inv(C)`` (PV x PV) for the Schur complement
-    ``C = B11 + B12 a_ctrl``, all read-only. ``pv_ids`` / ``pq_ids`` give
-    the external bus ids of the block coordinates.
+    ``C = B11 + B12 a_ctrl``, all read-only; ``s11`` is None when C, and
+    with it B'', is singular. ``pv_ids`` / ``pq_ids`` give the external bus
+    ids of the block coordinates.
     """
 
-    s11: np.ndarray
+    s11: np.ndarray | None
     a_ctrl: np.ndarray
     d_gain: np.ndarray
     partition: BusPartition
@@ -90,10 +94,11 @@ def build_model(net: Network, partition: BusPartition | None = None) -> Sensitiv
 
     One solve against the load block ``B22`` gives ``a_ctrl`` and
     ``d_gain``; the Schur complement ``C = B11 + B12 a_ctrl`` is factored
-    for ``s11``. Raises :class:`~gridvolt.numerics.SingularMatrixError`
-    when B22 is singular (equivalently, when the PV block ``S11`` of the
-    inverse is), reported with B22's 1-norm condition number, and when C
-    and hence B'' is singular (degenerate network).
+    for ``s11``, which stays None when C, and hence B'', is singular (see
+    :func:`full_sensitivity`). Raises
+    :class:`~gridvolt.numerics.SingularMatrixError` when B22 is singular
+    (equivalently, when the PV block ``S11`` of the inverse is), reported
+    with B22's 1-norm condition number.
 
     The model for the network's own partition (``partition`` None or equal
     to :func:`~gridvolt.netmodel.partition_buses`'s) is kept in the
@@ -133,26 +138,29 @@ def _block_model(net: Network, partition: BusPartition) -> SensitivityModel:
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"S11 block is singular ({exc})") from exc
 
+    # det C = det B'' / det B22: C is singular exactly when B'' is, which
+    # only the full inverse needs; the control law reads a_ctrl alone.
     try:
-        fac_c = lu_factor(b11 + b12 @ a_ctrl)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"B'' is singular ({exc}); isolated bus or degenerate network?"
-        ) from exc
-    s11 = lu_solve_factored(fac_c, np.eye(npv))
-    s11.flags.writeable = False
+        s11 = lu_solve_factored(lu_factor(b11 + b12 @ a_ctrl), np.eye(npv))
+        s11.flags.writeable = False
+    except SingularMatrixError:
+        s11 = None
 
-    int_to_ext = partition.int_to_ext
+    ids = partition.ids
     return SensitivityModel(
         s11=s11, a_ctrl=a_ctrl, d_gain=d_gain, partition=partition,
-        pv_ids=tuple(int_to_ext[i] for i in partition.pv_idx),
-        pq_ids=tuple(int_to_ext[i] for i in partition.pq_idx),
+        pv_ids=tuple(ids[i] for i in partition.pv_idx),
+        pq_ids=tuple(ids[i] for i in partition.pq_idx),
     )
 
 
 def full_sensitivity(model: SensitivityModel) -> np.ndarray:
     """The whole ``S = inv(B'')`` over the pv+pq coordinates, pv first, from
-    the model's blocks (``--method sens`` reports it)."""
+    the model's blocks (``--method sens`` reports it). Raises
+    :class:`~gridvolt.numerics.SingularMatrixError` when B'' is singular."""
+    if model.s11 is None:
+        raise SingularMatrixError(
+            "B'' is singular; isolated bus or degenerate network?")
     s21 = model.a_ctrl @ model.s11
     s22 = model.d_gain + s21 @ model.a_ctrl.T
     return np.block([[model.s11, s21.T], [s21, s22]])

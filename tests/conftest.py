@@ -99,8 +99,10 @@ def three_bus_toy(q_load_mvar: float = 0.0, b_charging: float = 0.0) -> Network:
     """Lossless triangle: line susceptances b12=10, b23=5, b13=4.
 
     Bus 1 slack, bus 2 generator, bus 3 load. With ``b_charging`` zero the
-    slack-included reactive model is singular (nothing pins the overall
-    voltage level); pass some charging for full-network control runs.
+    slack-included B'' is singular (nothing pins the overall voltage
+    level): the control blocks exist, so control runs work, but
+    ``full_sensitivity`` is refused; pass some charging for a nonsingular
+    B''.
     """
     return Network(
         base_mva=100.0,

@@ -99,6 +99,28 @@ def test_bus_type_gen_mismatch_warns(caplog):
     assert any("no in-service generator" in rec.message for rec in caplog.records)
 
 
+_PLAIN_TWO_BUS = TWO_BUS_CASE.replace("mpc.version = '2';\n", "")
+
+
+@pytest.mark.parametrize("text, error, warnings", [
+    pytest.param(_PLAIN_TWO_BUS.replace("\t2\t1\t0\t10", "\t2\t4\t0\t10"),
+                 "bus 2: unsupported type 4", [], id="unsupported-type"),
+    pytest.param(_PLAIN_TWO_BUS.replace(
+        "mpc.gen = [\n", "mpc.gen = [\n\t2\t0\t0\t300\t-300\t1\t100\t1\t250\t10;\n"),
+        None, ["bus 2 typed PQ but hosts a generator; keeping PQ"],
+        id="pq-with-generator"),
+])
+def test_bus_type_column_checks(caplog, text, error, warnings):
+    with caplog.at_level(logging.WARNING, logger="gridvolt.caseio"):
+        if error is None:
+            assert parse_matpower_case(text).bus(2).kind is BusKind.PQ
+        else:
+            with pytest.raises(CaseFormatError) as exc:
+                parse_matpower_case(text)
+            assert str(exc.value) == error
+    assert [rec.getMessage() for rec in caplog.records] == warnings
+
+
 def test_row_arity_mismatch_reported():
     text = TWO_BUS_CASE.replace(
         "\t1\t2\t0\t0.1\t0\t250\t250\t250\t0\t0\t1;", "\t1\t2\t0\t0.1;")
@@ -559,33 +581,33 @@ def test_trace_csv_ordering(scenario30):
 
 
 def reference_trace_csv(trace):
-    """The per-row-object rendering: one ``TraceRow`` per (iteration, bus)."""
+    """The CSV built one (iteration, bus) row at a time, each bus looked up
+    by its id and classified on its own."""
     part, cfg = trace.partition, trace.config
+    index_of = part.ext_to_int
 
     def snapshot(iteration, vm, controlled):
-        for idx in sorted(part.int_to_ext):
-            bus_id = part.int_to_ext[idx]
+        for bus_id in sorted(index_of):
+            idx = index_of[bus_id]
             v = float(vm[idx])
             if idx in part.pv_idx:
-                role = caseio.TraceRole.PV
+                role = "pv"
             elif bus_id == controlled:
-                role = caseio.TraceRole.CONTROLLED
+                role = "controlled"
             elif not (cfg.v_min <= v <= cfg.v_max):
-                role = caseio.TraceRole.CRITICAL
+                role = "critical"
             else:
-                role = caseio.TraceRole.PQ
-            yield caseio.TraceRow(iteration, bus_id, v, role)
+                role = "pq"
+            yield f"{iteration},{bus_id},{format(v, '.10g')},{role}"
 
-    rows = list(snapshot(0, trace.initial_solution.vm, None))
-    for rec in trace.iterations:
-        rows += snapshot(rec.index, rec.vm_after, rec.controlled_bus)
     lines = ["iteration,bus,voltage_pu,role"]
-    lines += [f"{r.iteration},{r.bus},{format(r.voltage_pu, '.10g')},{r.role.value}"
-              for r in rows]
-    return rows, "\n".join(lines) + "\n"
+    lines += snapshot(0, trace.initial_solution.vm, None)
+    for rec in trace.iterations:
+        lines += snapshot(rec.index, rec.vm_after, rec.controlled_bus)
+    return "\n".join(lines) + "\n"
 
 
-def test_trace_rendering_matches_the_row_object_reference(scenarios):
+def test_trace_csv_matches_the_per_row_reference(scenarios):
     tight = controller.ControlConfig(v_min=0.97, v_max=1.03)
     linear = controller.ControlConfig(
         evaluation_mode=controller.EvaluationMode.LINEAR)
@@ -593,10 +615,12 @@ def test_trace_rendering_matches_the_row_object_reference(scenarios):
               for run in (controller.ovc_run, controller.svc_run)
               for cfg in (None, tight, linear)]
     assert any(len(t.iterations) > 2 for t in traces)
+    roles = set()
     for trace in traces:
-        rows, csv = reference_trace_csv(trace)
-        assert caseio.trace_rows(trace) == rows
-        assert write_trace_csv(trace) == csv
+        csv = write_trace_csv(trace)
+        assert csv == reference_trace_csv(trace)
+        roles |= {line.rsplit(",", 1)[1] for line in csv.splitlines()[1:]}
+    assert roles == {"pv", "pq", "critical", "controlled"}
 
 
 def test_bundled_case_path_rejects_unknown():

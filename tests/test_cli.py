@@ -9,11 +9,11 @@ import warnings
 import numpy as np
 import pytest
 
-from gridvolt import caseio, cli, netmodel, powerflow
+from gridvolt import caseio, cli, controller, netmodel, powerflow
 from gridvolt.cli import DATA_DIR_ENV, RunSpec, main, run
 from gridvolt.controller import ControlConfig
 
-from conftest import load_case
+from conftest import load_case, three_bus_toy
 
 
 def make_spec(**kwargs) -> RunSpec:
@@ -97,6 +97,16 @@ def test_trace_file_written(tmp_path):
     content = trace_file.read_text()
     assert content.startswith("iteration,bus,voltage_pu,role")
     assert ",controlled" in content
+
+
+def test_compare_trace_file_holds_the_one_iteration_ovc_trace(tmp_path, scenario30):
+    trace_file = tmp_path / "trace.csv"
+    spec = make_spec(case_path="case30", method="compare",
+                     disturbances=((8, 90.0), (25, -100.0)), flat_setpoints=1.0,
+                     trace_path=str(trace_file))
+    assert run(spec).exit_code == 0
+    want = controller.compare_ovc_svc(scenario30).ovc_trace
+    assert trace_file.read_text() == caseio.write_trace_csv(want)
 
 
 def test_iteration_cap_exit_code(capsys):
@@ -237,17 +247,53 @@ def test_compare_json_output(capsys):
 
 
 def test_uncontrollable_bus_exits_3(monkeypatch, capsys):
-    import gridvolt.cli as cli
-    from gridvolt.controller import UncontrollableBusError
+    # the case30 scenario takes two iterations; its second finds no usable gain
+    real_step = controller.ovc_step
 
-    def raise_uncontrollable(net, cfg):
-        raise UncontrollableBusError("bus 9 cannot be moved")
+    def fail_second(model, sol, cb, cfg, index=1, critical=None):
+        if index == 2:
+            raise controller.UncontrollableBusError(f"bus {cb} cannot be moved")
+        return real_step(model, sol, cb, cfg, index=index, critical=critical)
 
-    monkeypatch.setattr(cli, "ovc_run", raise_uncontrollable)
-    code = main(["--case", "case9", "--disturb", "9:+70",
+    monkeypatch.setattr(controller, "ovc_step", fail_second)
+    code = main(["--case", "case30", "--disturb", "8:+90", "--disturb", "25:-100",
                  "--flat-setpoints", "1.0", "--method", "ovc"])
+    captured = capsys.readouterr()
     assert code == 3
-    assert "cannot be moved" in capsys.readouterr().err
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == "Bus   Before   Iter 1"
+    assert "Outcome: infeasible after 1 iteration(s)" in lines
+
+
+def _reactance_only_case(tmp_path) -> str:
+    """The 3-bus toy with no line charging, whose B'' is singular, as a
+    JSON case file."""
+    path = tmp_path / "triangle.json"
+    path.write_text(caseio.write_json_case(three_bus_toy(q_load_mvar=120.0)))
+    return str(path)
+
+
+@pytest.mark.parametrize("method, needle", [
+    ("ovc", "Outcome: resolved after 1 iteration(s)"),
+    ("svc", "Outcome: resolved after 1 iteration(s)"),
+    ("compare", "OVC      0.0143"),
+])
+def test_singular_bpp_still_runs_the_control_methods(tmp_path, capsys,
+                                                      method, needle):
+    code = main(["--case", _reactance_only_case(tmp_path), "--method", method])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert needle in captured.out.splitlines()
+
+
+def test_singular_bpp_sens_exits_1_naming_it(tmp_path, capsys):
+    code = main(["--case", _reactance_only_case(tmp_path), "--method", "sens"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: B'' is singular; isolated bus or "
+                            "degenerate network?\n")
 
 
 def test_invalid_network_exits_1(tmp_path, capsys):

@@ -279,6 +279,24 @@ def test_ovc_run_9bus(scenario9):
     assert trace.iterations[0].vm_after[e2i[9]] == pytest.approx(0.993, abs=0.010)
 
 
+def test_ovc_run_without_line_charging_resolves():
+    # B'' of the reactance-only triangle is singular; the law needs a_ctrl only
+    trace = ovc_run(three_bus_toy(q_load_mvar=120.0))
+    assert trace.outcome is Outcome.RESOLVED
+    [rec] = trace.iterations
+    assert rec.controlled_bus == 3
+    assert trace.initial_solution.vm_at(3) == pytest.approx(0.8416, abs=1e-4)
+    after = rec.vm_after[trace.partition.ext_to_int[3]]
+    assert after == pytest.approx(0.9613, abs=1e-4)
+
+
+def test_compare_without_line_charging_reports_both_indices():
+    report = compare_ovc_svc(three_bus_toy(q_load_mvar=120.0))
+    assert report.controlled_bus == 3
+    assert report.j_ovc == pytest.approx(0.01434, abs=1e-5)
+    assert report.j_svc == pytest.approx(0.00453, abs=1e-5)
+
+
 def test_ovc_run_14bus(scenario14):
     trace = ovc_run(scenario14)
     assert trace.outcome is Outcome.RESOLVED

@@ -102,32 +102,63 @@ def test_validate_generator_bus_kind_mismatch():
     assert any("pq" in entry for entry in report)
 
 
+def _two_bus(**changes) -> Network:
+    return dataclasses.replace(two_bus_toy(), **changes)
+
+
+_SLACK, _LOAD = two_bus_toy().buses
+
+
+@pytest.mark.parametrize("net, text", [
+    pytest.param(_two_bus(base_mva=0.0), "base_mva must be positive, got 0.0",
+                 id="base_mva"),
+    pytest.param(_two_bus(buses=(_SLACK, _LOAD, Bus(id=2, kind=BusKind.PQ))),
+                 "duplicate bus ids: [2]", id="duplicate-id"),
+    pytest.param(_two_bus(buses=(dataclasses.replace(_SLACK, kind=BusKind.PV),
+                                 _LOAD)),
+                 "no slack bus", id="no-slack"),
+    pytest.param(_two_bus(buses=(_SLACK, dataclasses.replace(_LOAD, id=0)),
+                          branches=(Branch(from_bus=1, to_bus=0, r=0.0, x=0.1),)),
+                 "bus 0: id must be a positive integer", id="bus-id"),
+    pytest.param(_two_bus(buses=(_SLACK, dataclasses.replace(_LOAD, v_min=1.1,
+                                                             v_max=0.9))),
+                 "bus 2: voltage limits invalid (1.1, 0.9)", id="limits"),
+    pytest.param(_two_bus(branches=two_bus_toy().branches
+                          + (Branch(from_bus=7, to_bus=2, r=0.0, x=0.1),)),
+                 "branch 1: from-bus 7 does not exist", id="from-bus"),
+    pytest.param(_two_bus(generators=two_bus_toy().generators
+                          + (Generator(bus=5),)),
+                 "generator at bus 5: bus does not exist", id="generator-bus"),
+])
+def test_validate_reports_each_structural_problem(net, text):
+    assert validate_network(net) == [text]
+
+
 def test_partition_case9(case9):
     part = partition_buses(case9)
-    int_to_ext = part.int_to_ext
-    assert [int_to_ext[i] for i in part.pv_idx] == [1, 2, 3]
-    assert [int_to_ext[i] for i in part.pq_idx] == [4, 5, 6, 7, 8, 9]
-    assert int_to_ext[part.slack_idx] == 1
+    ids = part.ids
+    assert [ids[i] for i in part.pv_idx] == [1, 2, 3]
+    assert [ids[i] for i in part.pq_idx] == [4, 5, 6, 7, 8, 9]
+    assert ids[part.slack_idx] == 1
 
 
-def test_int_to_ext_is_built_once_and_inverts_ext_to_int(case30):
+def test_ids_are_built_once_and_invert_ext_to_int(case30):
     part = partition_buses(case30)
-    assert part.int_to_ext is part.int_to_ext
-    assert {e: i for i, e in part.int_to_ext.items()} == part.ext_to_int
-    assert sorted(part.int_to_ext) == list(range(case30.n_bus))
+    assert part.ids is part.ids
+    assert {e: i for i, e in enumerate(part.ids)} == part.ext_to_int
+    assert part.ids == tuple(sorted(b.id for b in case30.buses))
 
 
 def test_partition_case14(case14):
     part = partition_buses(case14)
-    int_to_ext = part.int_to_ext
-    assert [int_to_ext[i] for i in part.pv_idx] == [1, 2, 3, 6, 8]
-    assert [int_to_ext[i] for i in part.pq_idx] == [4, 5, 7, 9, 10, 11, 12, 13, 14]
+    ids = part.ids
+    assert [ids[i] for i in part.pv_idx] == [1, 2, 3, 6, 8]
+    assert [ids[i] for i in part.pq_idx] == [4, 5, 7, 9, 10, 11, 12, 13, 14]
 
 
 def test_partition_case30(case30):
     part = partition_buses(case30)
-    int_to_ext = part.int_to_ext
-    assert [int_to_ext[i] for i in part.pv_idx] == [1, 2, 13, 22, 23, 27]
+    assert [part.ids[i] for i in part.pv_idx] == [1, 2, 13, 22, 23, 27]
     assert len(part.pq_idx) == 24
 
 

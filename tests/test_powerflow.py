@@ -658,7 +658,7 @@ def test_warm_started_system_starts_from_the_solution(case14):
 def test_system_solve_at_setpoints_matches_rebuilt_network(all_cases, name):
     net = all_cases[name]
     system = newton_system(net)
-    pv_ids = [system.partition.int_to_ext[i] for i in system.partition.pv_idx]
+    pv_ids = [system.partition.ids[i] for i in system.partition.pv_idx]
     stock = np.array([net.bus(b).v_setpoint for b in pv_ids])
     for k in range(3):
         setpoints = stock + 0.02 * np.sin(np.arange(stock.size) + k)
@@ -690,7 +690,7 @@ def test_newton_system_is_read_only_and_checks_setpoints(case9):
 @pytest.mark.parametrize("bad", [2.0, 2.5, 0.0, -0.03, np.nan, np.inf])
 def test_setpoint_outside_range_fails_as_on_the_rebuilt_network(case9, bad):
     system = newton_system(case9)
-    pv_ids = [system.partition.int_to_ext[i] for i in system.partition.pv_idx]
+    pv_ids = [system.partition.ids[i] for i in system.partition.pv_idx]
     setpoints = np.array([case9.bus(b).v_setpoint for b in pv_ids])
     setpoints[1] = bad
     with pytest.raises(netmodel.NetworkError) as rebuilt:
@@ -797,6 +797,30 @@ def test_a_stale_factor_alone_never_raises_divergence(case30, stale):
         assert sol.converged and chord.inverse is not seeded
         history = sol.mismatch_history
         assert all(b <= a for a, b in zip(history, history[1:]))
+
+
+def test_a_weak_chord_step_within_tol_ends_the_solve(case9):
+    # From x* - eps J^-1 u the mismatch is eps u to first order; the held
+    # inverse (J^-1)/2 halves it, a weak step (by more than CHORD_RHO) that
+    # lands between tol * CHORD_RHO**2 and tol: the round-off floor.
+    tol, rho = powerflow.PF_TOLERANCE, powerflow.CHORD_RHO
+    system = newton_system(case9)
+    exact = solve_newton(system, tol=1e-13)
+    inv = inverse_jacobian_at(system, exact.vm, exact.va)
+    dx = inv @ np.full(inv.shape[0], 1.5 * tol)
+    npvpq = len(system.pvpq)
+    vm, va = exact.vm.copy(), exact.va.copy()
+    va[system.pvpq] -= dx[:npvpq]
+    vm[system.pq] -= dx[npvpq:]
+    start = dataclasses.replace(exact, vm=vm, va=va)
+    chord = ChordFactor()
+    held = chord.inverse = 0.5 * inv
+    sol = solve_newton(system.at(system.vm0[system.pv], start=start),
+                       tol=tol, chord=chord)
+    f0, f1 = sol.mismatch_history
+    assert f0 > tol and rho * f0 < f1 and tol * rho ** 2 < f1 <= tol
+    assert sol.converged and sol.max_mismatch == f1
+    assert sol.jacobians == 0 and chord.inverse is held
 
 
 def test_chord_divergence_is_decided_at_a_fresh_jacobian(case9, monkeypatch):

@@ -183,7 +183,15 @@ def test_singular_bpp_reported():
     # uniform-shift null mode: nothing pins the voltage level
     net = three_bus_toy()
     with pytest.raises(SingularMatrixError, match="B''"):
-        build_model(net, partition_buses(net))
+        full_sensitivity(build_model(net))
+
+
+def test_singular_bpp_still_gives_the_control_blocks():
+    # B22 is the load bus's own 9: a_ctrl and d_gain exist though B'' does not
+    model = build_model(three_bus_toy())
+    assert model.s11 is None
+    assert np.allclose(model.a_ctrl, [[4.0 / 9.0, 5.0 / 9.0]], atol=1e-14)
+    assert np.allclose(model.d_gain, [[1.0 / 9.0]], atol=1e-14)
 
 
 # --------------------------------------------------------------- predict_dvpq
