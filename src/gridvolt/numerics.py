@@ -1,15 +1,14 @@
-"""Dense real linear algebra: LU solves, inverses and the top singular pair.
+"""Dense real linear algebra: LU solves and the top singular pair.
 
 Everything here is written against plain ``numpy.ndarray`` (row-major dense
-storage). One-shot solves (:func:`lu_solve`) use LAPACK's ``gesv``, and so
-does :func:`inverse`, against the identity: numpy exposes no LU factor to
-keep, so a matrix applied to many right-hand sides one at a time is
-inverted once and applied by matrix-vector products. A constant matrix
-counts as singular when its 1-norm condition number reaches
-``1 / LU_PIVOT_RTOL`` (:func:`check_condition`). The hand-written
-factorization (:func:`lu_factor`, :func:`lu_solve_factored`) serves
-only the sensitivity model's small Schur complement. The top singular pair
-of a symmetric PSD matrix is its top eigenpair from LAPACK's symmetric
+storage). LAPACK's ``gesv`` is the one driver (:func:`lu_solve`): numpy
+exposes no LU factor to keep, so a matrix applied to many right-hand sides
+one at a time is inverted once, by a solve against the identity. One rule
+judges every matrix the program keeps: singular when its 1-norm condition
+number reaches ``1 / LU_PIVOT_RTOL`` (:func:`check_condition`). The plain
+hand-written LU (:func:`lu_factor`, :func:`lu_solve_factored`) serves only
+the sensitivity model's small Schur complement. The top singular pair of a
+symmetric PSD matrix is its top eigenpair from LAPACK's symmetric
 eigensolver, with a fixed sign so results are reproducible.
 
 All tolerances are centralized below as named constants.
@@ -29,16 +28,14 @@ __all__ = [
     "SvdConvergenceError",
     "LuFactorization",
     "check_condition",
-    "inverse",
     "lu_factor",
     "lu_solve",
     "lu_solve_factored",
     "top_singular_pair",
 ]
 
-# Pivot smaller than this times ||a||_inf is treated as singular by
-# lu_factor; a 1-norm condition number at or above its inverse by
-# check_condition.
+# A 1-norm condition number at or above the inverse of this is singular
+# (check_condition).
 LU_PIVOT_RTOL = 1e-12
 # top_singular_pair input validation.
 SYMMETRY_ATOL = 1e-10
@@ -65,14 +62,12 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def _lapack(fn, *args) -> np.ndarray:
-    """``fn(*args)`` with LAPACK's singular verdict and a non-finite result
-    (overflow past a tiny pivot) both raised as ``SingularMatrixError``."""
-    try:
-        x = fn(*args)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"singular matrix ({exc})") from exc
+def _finite_solution(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x`` if finite, else the error naming the cause: a non-finite ``b``
+    or else the matrix. Only a failed solve reads ``b``."""
     if not np.all(np.isfinite(x)):
+        if not np.all(np.isfinite(b)):
+            raise ValueError("right-hand side contains non-finite entries")
         raise SingularMatrixError("solution is not finite "
                                   "(singular to working precision)")
     return x
@@ -91,17 +86,10 @@ def lu_factor(a) -> LuFactorization:
     n = a.shape[0]
     lu = a.copy()
     piv = np.arange(n)
-    norm = float(np.max(np.sum(np.abs(a), axis=1))) if n else 0.0
-    if n and norm == 0.0:
-        raise SingularMatrixError("zero matrix is singular")
-    threshold = LU_PIVOT_RTOL * norm
     for k in range(n):
         j = k + int(np.argmax(np.abs(lu[k:, k])))
-        pivot = abs(lu[j, k])
-        if pivot < threshold:
-            raise SingularMatrixError(
-                f"pivot {pivot:.3e} below {threshold:.3e} at column {k} "
-                "(singular to working precision)")
+        if lu[j, k] == 0.0:
+            raise SingularMatrixError(f"zero pivot at column {k}")
         if j != k:
             lu[[k, j]] = lu[[j, k]]
             piv[[k, j]] = piv[[j, k]]
@@ -112,7 +100,8 @@ def lu_factor(a) -> LuFactorization:
 
 
 def lu_solve_factored(fac: LuFactorization, b) -> np.ndarray:
-    """Solve a x = b given the factorization of a. ``b`` may be 1-D or 2-D."""
+    """Solve a x = b given the factorization of a. ``b`` may be 1-D or 2-D.
+    A solution that is not finite raises as in :func:`lu_solve`."""
     b = np.array(b, dtype=float)
     vector = b.ndim == 1
     if vector:
@@ -122,40 +111,35 @@ def lu_solve_factored(fac: LuFactorization, b) -> np.ndarray:
         raise ValueError(f"rhs has {b.shape[0]} rows, expected {n}")
     x = b[fac.piv].astype(float)
     lu = fac.lu
-    for i in range(1, n):          # forward: L y = P b
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):  # backward: U x = y
-        if i + 1 < n:
-            x[i] -= lu[i, i + 1:] @ x[i + 1:]
-        x[i] /= lu[i, i]
-    return x[:, 0] if vector else x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n):          # forward: L y = P b
+            x[i] -= lu[i, :i] @ x[:i]
+        for i in range(n - 1, -1, -1):  # backward: U x = y
+            if i + 1 < n:
+                x[i] -= lu[i, i + 1:] @ x[i + 1:]
+            x[i] /= lu[i, i]
+    return _finite_solution(x[:, 0] if vector else x, b)
 
 
 def lu_solve(a, b) -> np.ndarray:
     """Solve a x = b in one shot with LAPACK's ``gesv`` (LU with partial
-    pivoting). ``b`` may be 1-D or 2-D.
+    pivoting). ``b`` may be 1-D or 2-D; against the identity it gives the
+    inverse of ``a``.
 
     Raises ``SingularMatrixError`` when LAPACK meets an exactly zero pivot
-    or the solution is not finite. The ``LU_PIVOT_RTOL`` threshold and
-    factor reuse belong to :func:`lu_factor`.
+    or the solution is not finite (overflow past a tiny pivot), and
+    ``ValueError`` when that is because ``b`` is not finite.
     """
     a = _as_square(a)
     n = a.shape[0]
     b = np.array(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"rhs has shape {b.shape}, expected {n} rows")
-    return _lapack(np.linalg.solve, a, b)
-
-
-def inverse(a) -> np.ndarray:
-    """Explicit inverse of ``a`` with LAPACK (numpy's ``inv`` is ``gesv``
-    against the identity), for a matrix that is applied to many right-hand
-    sides that arrive one at a time.
-
-    Same checks and errors as :func:`lu_solve`: ``SingularMatrixError``
-    when LAPACK meets an exactly zero pivot or the inverse is not finite.
-    """
-    return _lapack(np.linalg.inv, _as_square(a))
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"singular matrix ({exc})") from exc
+    return _finite_solution(x, b)
 
 
 def check_condition(a, a_inv) -> None:

@@ -55,7 +55,7 @@ from .netmodel import (
     bus_order,
     partition_buses,
 )
-from .numerics import SingularMatrixError, check_condition, inverse, lu_solve
+from .numerics import SingularMatrixError, check_condition, lu_solve
 
 __all__ = [
     "PF_TOLERANCE",
@@ -140,9 +140,6 @@ class PowerFlowSolution:
 
     def vm_at(self, bus_id: int) -> float:
         return float(self.vm[self.index_of(bus_id)])
-
-    def va_at(self, bus_id: int) -> float:
-        return float(self.va[self.index_of(bus_id)])
 
 
 def _branch_admittances(br: Branch):
@@ -450,7 +447,8 @@ def _singular_as_error(matrix: str):
 
 def _inverse_jacobian(system: NewtonSystem, v, ibus) -> np.ndarray:
     with _singular_as_error("Newton Jacobian"):
-        return inverse(_jacobian(system, v, ibus))
+        jac = _jacobian(system, v, ibus)
+        return lu_solve(jac, np.eye(len(jac)))
 
 
 def _finish(solver: str, vm, va, history: list[float], tol: float,
@@ -571,7 +569,7 @@ def solve_fdlf(net: Network, tol: float = PF_TOLERANCE,
     for name, m in (("B'", branches.bprime()[np.ix_(pvpq, pvpq)]),
                     ("B''", branches.bpp()[np.ix_(pq, pq)])):
         with _singular_as_error(name):
-            inverses.append(inverse(m))
+            inverses.append(lu_solve(m, np.eye(len(m))))
             check_condition(m, inverses[-1])
     bp_inv, bpp_inv = inverses
 

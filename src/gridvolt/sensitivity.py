@@ -86,7 +86,7 @@ def build_bpp(net: Network, partition: BusPartition) -> np.ndarray:
     """
     full = build_bpp_full(net)
     coords = list(partition.pv_idx) + list(partition.pq_idx)
-    return full[np.ix_(coords, coords)].copy()
+    return full[np.ix_(coords, coords)]
 
 
 def build_model(net: Network, partition: BusPartition | None = None) -> SensitivityModel:
@@ -94,7 +94,8 @@ def build_model(net: Network, partition: BusPartition | None = None) -> Sensitiv
 
     One solve against the load block ``B22`` gives ``a_ctrl`` and
     ``d_gain``; the Schur complement ``C = B11 + B12 a_ctrl`` is factored
-    for ``s11``, which stays None when C, and hence B'', is singular (see
+    for ``s11``, which stays None when C, and hence B'', is singular by
+    :func:`~gridvolt.numerics.check_condition` (see
     :func:`full_sensitivity`). Raises
     :class:`~gridvolt.numerics.SingularMatrixError` when B22 is singular
     (equivalently, when the PV block ``S11`` of the inverse is), reported
@@ -140,8 +141,10 @@ def _block_model(net: Network, partition: BusPartition) -> SensitivityModel:
 
     # det C = det B'' / det B22: C is singular exactly when B'' is, which
     # only the full inverse needs; the control law reads a_ctrl alone.
+    c = b11 + b12 @ a_ctrl
     try:
-        s11 = lu_solve_factored(lu_factor(b11 + b12 @ a_ctrl), np.eye(npv))
+        s11 = lu_solve_factored(lu_factor(c), np.eye(npv))
+        check_condition(c, s11)
         s11.flags.writeable = False
     except SingularMatrixError:
         s11 = None

@@ -481,20 +481,29 @@ def test_ovc_run_uses_no_full_inverse_and_no_svd(case30, monkeypatch):
     # the model is one B22 solve plus an n_pv x n_pv Schur factorization,
     # and the selector direction is closed-form: an SVD or an eigensolver
     # call on this path fails here, from numerics or direct, and so does
-    # any inverse but the re-solves' Newton Jacobians (none of B'', B22 or
-    # the Schur complement), one per Jacobian the re-solves record; nor is
+    # any inverse - a solve against the identity - but the re-solves'
+    # Newton Jacobians (none of B'', B22 or the Schur complement), one per
+    # Jacobian the re-solves record; numpy's inv is never called; nor is
     # the full inverse of B'' assembled from its blocks (np.block)
-    calls = {name: [] for name in ("svd", "inv", "eigh", "lu_factor",
-                                   "lu_solve_factored", "block")}
+    calls = {name: [] for name in ("svd", "inv", "eigh", "identity solve",
+                                   "lu_factor", "lu_solve_factored", "block")}
 
     def counting(original, args):
         def wrapper(first, *rest, **kwargs):
             args.append(np.shape(first))
             return original(first, *rest, **kwargs)
         return wrapper
+
+    def solving(original):
+        def wrapper(a, b, *rest, **kwargs):
+            if np.ndim(b) == 2 and np.array_equal(b, np.eye(len(b))):
+                calls["identity solve"].append(np.shape(a))
+            return original(a, b, *rest, **kwargs)
+        return wrapper
     for name in ("svd", "inv", "eigh"):
         monkeypatch.setattr(np.linalg, name,
                             counting(getattr(np.linalg, name), calls[name]))
+    monkeypatch.setattr(np.linalg, "solve", solving(np.linalg.solve))
     monkeypatch.setattr(np, "block", counting(np.block, calls["block"]))
     modules = [m for n, m in list(sys.modules.items())
                if n == "gridvolt" or n.startswith("gridvolt.")]
@@ -511,8 +520,10 @@ def test_ovc_run_uses_no_full_inverse_and_no_svd(case30, monkeypatch):
     n_jac = len(trace.partition.pq_idx) + len(trace.initial_solution.ids) - 1
     assert trace.iterations
     assert calls["svd"] == [] and calls["eigh"] == [] and calls["block"] == []
-    assert calls["inv"] and all(shape == (n_jac, n_jac) for shape in calls["inv"])
-    assert len(calls["inv"]) == sum(sol.jacobians for _, sol in solves[1:])
+    assert calls["inv"] == []
+    inverses = calls["identity solve"]
+    assert inverses and all(shape == (n_jac, n_jac) for shape in inverses)
+    assert len(inverses) == sum(sol.jacobians for _, sol in solves[1:])
     assert calls["lu_factor"]
     assert all(shape == (n_pv, n_pv) for shape in calls["lu_factor"])
     assert calls["lu_solve_factored"]

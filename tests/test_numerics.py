@@ -11,7 +11,6 @@ from gridvolt.numerics import (
     SingularMatrixError,
     SvdConvergenceError,
     check_condition,
-    inverse,
     lu_factor,
     lu_solve,
     lu_solve_factored,
@@ -169,7 +168,13 @@ def test_invert_twice_is_identity_map():
         assert np.allclose(lu_inverse(lu_inverse(a)), a, atol=1e-7)
 
 
-# ------------------------------------------------- inverse through LAPACK
+# ------------------------------------- inverse: lu_solve against the identity
+
+
+def inverse(a) -> np.ndarray:
+    """The inverse as the program forms it: LAPACK's solve against the
+    identity."""
+    return lu_solve(a, np.eye(len(a)))
 
 
 def test_inverse_agrees_with_the_hand_factorization():
@@ -202,6 +207,47 @@ def test_inverse_of_singular_or_overflowing_matrix_raises_singular_error(a):
 def test_inverse_rejects_bad_input(a):
     with pytest.raises(ValueError):
         inverse(a)
+
+
+# ------------------------------------------------- a non-finite right-hand side
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_rhs_is_blamed_on_the_rhs_not_the_matrix(bad):
+    # the matrix is well-conditioned, so the fault is the right-hand side's:
+    # a ValueError naming it, as a non-finite matrix gets, never a
+    # SingularMatrixError
+    fac = lu_factor(np.eye(2))
+    for b in ([bad, 1.0], [[1.0, 0.0], [bad, 1.0]]):
+        for solve in (lambda b: lu_solve(np.eye(2), b),
+                      lambda b: lu_solve_factored(fac, b)):
+            with pytest.raises(ValueError, match="right-hand side") as exc:
+                solve(b)
+            assert not isinstance(exc.value, SingularMatrixError)
+
+
+def test_hand_solve_overflowing_past_a_tiny_pivot_is_singular():
+    # the factorization has only nonzero pivots; the solution overflows, and
+    # that is the matrix's fault, as in lu_solve
+    fac = lu_factor(np.diag([1e-310, 1.0]))
+    with pytest.raises(SingularMatrixError, match="solution is not finite"):
+        lu_solve_factored(fac, np.eye(2))
+
+
+def test_lu_factor_refuses_only_an_exactly_zero_pivot():
+    # singularity to working precision is check_condition's to judge
+    for a in (np.zeros((3, 3)), np.ones((2, 2))):
+        with pytest.raises(SingularMatrixError, match="zero pivot"):
+            lu_factor(a)
+    a = np.diag([1.0, 1e-300])
+    fac = lu_factor(a)
+    assert np.array_equal(fac.lu, a) and np.array_equal(fac.piv, [0, 1])
+    # cond_1 of [[1, 1], [1, 1 + d]] is about 4/d: a pivot of d = 1e-13
+    # passes the factorization and fails the condition rule
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+    a_inv = lu_solve_factored(lu_factor(a), np.eye(2))
+    with pytest.raises(SingularMatrixError, match="condition estimate"):
+        check_condition(a, a_inv)
 
 
 # ------------------------------------------------------------ check_condition

@@ -7,7 +7,12 @@ import pytest
 
 from gridvolt import controller, netmodel, powerflow, sensitivity
 from gridvolt.netmodel import partition_buses
-from gridvolt.numerics import SingularMatrixError, lu_factor, lu_solve_factored
+from gridvolt.numerics import (
+    LU_PIVOT_RTOL,
+    SingularMatrixError,
+    lu_factor,
+    lu_solve_factored,
+)
 from gridvolt.sensitivity import (
     build_bpp,
     build_model,
@@ -184,6 +189,21 @@ def test_singular_bpp_reported():
     net = three_bus_toy()
     with pytest.raises(SingularMatrixError, match="B''"):
         full_sensitivity(build_model(net))
+
+
+def test_ill_conditioned_schur_complement_is_judged_by_the_condition_rule():
+    # C's smallest pivot is ~1.5e-12 of its inf-norm, but cond_1(C) is
+    # ~1.36e12: singular under the rule that judges B22, B' and B''
+    net = three_bus_toy(b_charging=6e-12)
+    part = partition_buses(net)
+    model = build_model(net, part)
+    bpp = build_bpp(net, part)
+    c = bpp[:2, :2] + bpp[:2, 2:] @ model.a_ctrl
+    cond = np.linalg.cond(c, 1)
+    assert 1.0 / LU_PIVOT_RTOL <= cond <= 1.5e12
+    assert model.s11 is None
+    with pytest.raises(SingularMatrixError, match="B''"):
+        full_sensitivity(model)
 
 
 def test_singular_bpp_still_gives_the_control_blocks():
